@@ -32,6 +32,8 @@ from .ggc import (
     shifted_cumulants,
     cumulants_to_moments,
     model_coeffs,
+    batch_coeffs,
+    float_coeffs,
     gd1_coeffs,
     gd1_invert,
     sample,

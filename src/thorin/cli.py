@@ -26,7 +26,7 @@ from .estimator import (
     project_density,
     theoretical_moments,
 )
-from .ggc import GgcModel, model_coeffs, sample
+from .ggc import GgcModel, float_coeffs, model_coeffs, sample
 from .numkit import PrecisionContext
 from .validate import (
     BENCH_NAMES,
@@ -188,13 +188,10 @@ def _fit_config(args, d_hint=None) -> FitConfig:
         raise ConfigError(str(exc))
 
 
-def _emit_report(report: FitReport, outdir: Path, ctx_bits: int):
+def _emit_report(report: FitReport, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    mc = model_coeffs(report.model, report.m, PrecisionContext(ctx_bits))
-    (outdir / "coeffs.json").write_text(
-        mc.coeffs.to_json() + "\n"
-    )
+    (outdir / "coeffs.json").write_text(float_coeffs(report.model, report.m).to_json() + "\n")
     print(f"wrote {outdir / 'report.json'} and {outdir / 'coeffs.json'}")
     print(
         f"loss={report.loss:.6g} wb={report.wb.is_wb} best_eps={report.wb.best_eps:.6g}"
@@ -206,7 +203,7 @@ def cmd_fit(args) -> int:
     data = _read_csv(args.input)
     cfg = _fit_config(args)
     report = fit_empirical(data, cfg)
-    _emit_report(report, Path(args.output), cfg.precision_bits)
+    _emit_report(report, Path(args.output))
     return EXIT_OK
 
 
@@ -227,7 +224,7 @@ def cmd_project(args) -> int:
         report.notes = report.notes + (
             "target density lies outside L2: tail exponent k <= 1/2",
         )
-    _emit_report(report, Path(args.output), rcfg.precision_bits)
+    _emit_report(report, Path(args.output))
     return EXIT_OK
 
 
@@ -281,7 +278,7 @@ def cmd_validate(args) -> int:
     N = args.N or 10_000
     B = args.B or 50
     cdf = bench_cdf(args.target, params)
-    pv = resampled_pvalues(model, cdf, N, B, args.seed or 0, workers=args.threads or 1)
+    pv = resampled_pvalues(model, cdf, N, B, args.seed or 0)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "pvalues.csv", pv[:, None], header="p_value")
@@ -323,11 +320,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"thorin {__version__}")
     sub = ap.add_subparsers(dest="mode", required=True)
 
-    def common(p, fit=False):
+    def common(p, fit=False, bits=False):
         p.add_argument("--config", help="JSON or key=value config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--bits", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        if bits:
+            p.add_argument("--bits", type=int, default=None, help="extended precision")
         if fit:
             p.add_argument("--n", type=int, default=None)
             p.add_argument("--m", type=str, default=None, help="comma list, e.g. 20,20")
@@ -343,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("project", help="project a formal density onto the class")
-    common(p, fit=True)
+    common(p, fit=True, bits=True)
     p.add_argument("--density", required=True)
     p.add_argument("--params", default="", help="e.g. mu=0,sigma=0.83")
     p.add_argument("--output", required=True, help="output directory")
@@ -357,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("coeffs", help="Laguerre coefficients of a model JSON")
-    common(p)
+    common(p, bits=True)
     p.add_argument("--model", required=True)
     p.add_argument("--m", type=str, default=None)
     p.add_argument("--output", required=True, help="output JSON")

@@ -6,7 +6,9 @@ projection from a formal density (coefficients from high-precision
 shifted moments).  The search runs in an unconstrained parameterization:
 log-space for the shapes and simplex-logit space for each scale row (the
 logs of the row's simplex coordinates and of the residual), so every
-particle decodes to a valid model without clamping.
+particle decodes to a valid model without clamping.  Model coefficients,
+for the swarm and for the reported loss alike, come from one double
+kernel, :func:`thorin.ggc.batch_coeffs`.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ import mpmath
 import numpy as np
 from mpmath import mpf
 
-from . import ggc
-from .ggc import GgcModel, _recursion_plan
-from .laguerre import CoeffTensor, coeffs_from_moments, empirical_coeffs, validate_samples, _moment_matrix
-from .numkit import COEFF_DEFAULT, PrecisionContext, box_shape, box_size
+from .ggc import GgcModel, batch_coeffs, float_coeffs
+from .laguerre import CoeffTensor, coeffs_from_moments, empirical_coeffs, validate_samples
+from .numkit import COEFF_DEFAULT, PrecisionContext, box_shape
 from .wellbehaved import best_eps
 
 __all__ = [
@@ -46,7 +47,6 @@ _STALL_RTOL = 1e-12
 _LOGSHAPE_RANGE = (math.log(1e-2), math.log(1e2))
 _SMAG_RANGE = (math.log(1e-3), math.log(1e3))
 _LOGIT_RANGE = (-18.0, 0.0)
-_NATIVE_LOSS_DEGREE = 25  # above this total degree the report loss is re-done in mp
 _ZERO_SCALE_TOL = 1e-10
 
 
@@ -144,52 +144,12 @@ class QuadratureError(RuntimeError):
         self.achieved_tol = achieved_tol
 
 
-# ---------------------------------------------------------------------------
-# fast batched coefficient evaluation (native doubles, inf-guarded)
-
-
-def _batch_coeffs(alpha: np.ndarray, x: np.ndarray, m: Tuple[int, ...]) -> np.ndarray:
-    """Coefficient tensors for P particles at once: ``alpha`` is P x n,
-    ``x`` is P x n x d (simplex scales).  Returns P x B flat tensors in
-    the C-order raveling of the box."""
-    P, n, d = x.shape
-    shape = box_shape(m)
-    B = box_size(m)
-    plan = _recursion_plan(m)
-    karr = np.zeros((B, d), dtype=int)
-    facts = np.ones(B)
-    for k, kpos, *_ in plan:
-        karr[kpos] = k
-        if sum(k) > 0:
-            facts[kpos] = math.factorial(sum(k) - 1)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        pw = [
-            x[:, :, j][:, :, None] ** np.arange(m[j] + 1)[None, None, :]
-            for j in range(d)
-        ]
-        zpow = pw[0][:, :, karr[:, 0]]
-        for j in range(1, d):
-            zpow = zpow * pw[j][:, :, karr[:, j]]
-        kap = facts[None, :] * np.einsum("pnb,pn->pb", zpow, alpha)
-        absx = x.sum(axis=2)
-        kap[:, np.ravel_multi_index((0,) * d, shape)] = (
-            alpha * np.log1p(-absx)
-        ).sum(axis=1)
-        mu = np.zeros((P, B))
-        for k, kpos, l_idx, kl_idx, w in plan:
-            if l_idx is None:
-                mu[:, kpos] = np.exp(kap[:, kpos])
-                continue
-            mu[:, kpos] = np.einsum("pl,pl,l->p", mu[:, l_idx], kap[:, kl_idx], w)
-        a = 2.0 ** (d / 2.0) * (mu @ _moment_matrix(m).T)
-    return a
-
-
 def _decode(params: np.ndarray, n: int, d: int, floor: float):
-    """Particle positions to (shapes, simplex scales).
+    """Particle positions to (shapes, simplex coordinates).
 
-    The residual logit is kept within exp(-28) of the row maximum so the
-    simplex sum stays strictly below one in doubles; this bounds the
+    The simplex coordinates are ``P x n x (d+1)``: the simplex scales
+    followed by the residual.  The residual logit is kept within exp(-28)
+    of the row maximum so the residual stays positive; this bounds the
     searchable scale magnitudes near 1e12, the scale-side analog of the
     shape floor.
     """
@@ -199,47 +159,41 @@ def _decode(params: np.ndarray, n: int, d: int, floor: float):
     z = z - z.max(axis=2, keepdims=True)
     z[:, :, d] = np.maximum(z[:, :, d], -28.0)
     ez = np.exp(z)
-    sm = ez / ez.sum(axis=2, keepdims=True)
-    return alpha, sm[:, :, :d]
+    return alpha, ez / ez.sum(axis=2, keepdims=True)
 
 
-def _x_to_scales(x_row: np.ndarray) -> np.ndarray:
-    return x_row / (1.0 - x_row.sum(axis=-1, keepdims=True))
+def _fitted_model(alpha: np.ndarray, simplex: np.ndarray) -> GgcModel:
+    """Model of one decoded particle.
+
+    Scale entries indistinguishable from zero are snapped to zero, never
+    touching a row's largest entry.  An atom whose whole row is below
+    that tolerance is a Gamma factor with vanishing scale, a point mass
+    at the origin and so the identity of convolution: it is dropped,
+    keeping at least the atom with the largest row.
+    """
+    d = simplex.shape[1] - 1
+    scales = simplex[:, :d] / simplex[:, d:]
+    top = scales.max(axis=1)
+    tiny = scales < _ZERO_SCALE_TOL
+    scales[tiny & (scales < top[:, None])] = 0.0
+    alive = top >= _ZERO_SCALE_TOL
+    alive[np.argmax(top)] = True
+    return GgcModel(alpha[alive], scales[alive])
 
 
-def _clamp_zero_scales(scales: np.ndarray) -> np.ndarray:
-    """Entries indistinguishable from zero are snapped to zero, never
-    touching a row's largest entry."""
-    out = scales.copy()
-    tiny = out < _ZERO_SCALE_TOL
-    keep = np.zeros_like(tiny)
-    keep[np.arange(out.shape[0]), out.argmax(axis=1)] = True
-    out[tiny & ~keep] = 0.0
-    return out
-
-
-def loss_Lm(
-    target: CoeffTensor,
-    model: GgcModel,
-    m: Sequence[int] = None,
-    ctx: PrecisionContext = COEFF_DEFAULT,
-) -> float:
+def loss_Lm(target: CoeffTensor, model: GgcModel, m: Sequence[int] = None) -> float:
     """Truncated squared coefficient distance
     ``sum_{k <= m} (target_k - a_k(model))^2``.
 
-    Evaluated in native doubles for shallow boxes; deeper tensors go
-    through the extended-precision recursion before the (double) sum.
+    The model coefficients come from :func:`thorin.ggc.batch_coeffs`,
+    the kernel the swarm minimizes, so the reported loss is the swarm's
+    objective; the kernel is accurate to about 1e-14 absolute per
+    coefficient over the region the swarm searches.
     """
     m = tuple(int(v) for v in (m if m is not None else target.m))
     if m != target.m:
         raise ValueError("target box does not match m")
-    if sum(m) <= _NATIVE_LOSS_DEGREE:
-        x = ggc.simplex_scales(model)
-        a = _batch_coeffs(model.alpha[None, :], x[None, :, :], m)[0]
-        diff = a - target.as_float().ravel()
-    else:
-        a = ggc.model_coeffs(model, m, ctx).coeffs.as_float().ravel()
-        diff = a - target.as_float().ravel()
+    diff = float_coeffs(model, m).a.ravel() - target.as_float().ravel()
     return float(diff @ diff)
 
 
@@ -269,9 +223,9 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
     vmax = 0.5 * (hi - lo)
 
     def losses(p):
-        alpha, x = _decode(p, n, d, cfg.param_floor)
-        a = _batch_coeffs(alpha, x, m)
+        alpha, simplex = _decode(p, n, d, cfg.param_floor)
         with np.errstate(invalid="ignore", over="ignore"):
+            a = batch_coeffs(alpha, simplex, m)
             val = ((a - target_flat[None, :]) ** 2).sum(axis=1)
         return np.where(np.isfinite(val), val, np.inf)
 
@@ -311,7 +265,9 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
     return gbest, gbl, it, False
 
 
-def _run_swarm(target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str) -> FitReport:
+def _run_swarm(
+    target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str, bits_used: int
+) -> FitReport:
     cfg = cfg.resolved(d)
     target_flat = target.as_float().ravel()
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
@@ -324,10 +280,9 @@ def _run_swarm(target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str) -> F
         if best is None or gloss < best[1]:
             best = (gpos, gloss, converged)
     gpos, _, converged = best
-    alpha, x = _decode(gpos[None, :], cfg.n, d, cfg.param_floor)
-    scales = _clamp_zero_scales(_x_to_scales(x[0]))
-    model = GgcModel(alpha[0], scales)
-    loss = loss_Lm(target, model, cfg.m, PrecisionContext(cfg.precision_bits))
+    alpha, simplex = _decode(gpos[None, :], cfg.n, d, cfg.param_floor)
+    model = _fitted_model(alpha[0], simplex[0])
+    loss = loss_Lm(target, model, cfg.m)
     return FitReport(
         model=model,
         loss=loss,
@@ -337,7 +292,7 @@ def _run_swarm(target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str) -> F
         seed=cfg.seed,
         iters=iters_total,
         restarts_used=cfg.restarts,
-        bits_used=cfg.precision_bits,
+        bits_used=bits_used,
         converged=converged,
         empirical_coeffs_hash=hash_text,
     )
@@ -356,19 +311,21 @@ def fit_empirical(samples, cfg: FitConfig) -> FitReport:
 
     Deterministic given ``(samples, cfg)``.  Non-convergence of the swarm
     is not an error: the best particle is returned with
-    ``converged=False``.
+    ``converged=False``.  The whole fit runs in doubles, so the report's
+    ``bits_used`` is 53; the model may hold fewer than ``cfg.n`` atoms.
     """
     arr = validate_samples(samples)
     d = arr.shape[1]
     rcfg = cfg.resolved(d)
     target = empirical_coeffs(arr, rcfg.m)
-    return _run_swarm(target, d, rcfg, _digest(target.a, rcfg.m))
+    return _run_swarm(target, d, rcfg, _digest(target.a, rcfg.m), 53)
 
 
 def project_density(moment_source, cfg: FitConfig, d: int = None) -> FitReport:
     """Same optimization as :func:`fit_empirical`, with the target
     coefficients computed from theoretical ``-1``-shifted moments
-    (a dense tensor over the box, mpf or float entries)."""
+    (a dense tensor over the box, mpf or float entries) at
+    ``cfg.precision_bits``, the ``bits_used`` of the report."""
     mu = np.asarray(moment_source)
     if d is None:
         d = mu.ndim
@@ -377,7 +334,7 @@ def project_density(moment_source, cfg: FitConfig, d: int = None) -> FitReport:
         raise ValueError(f"moment tensor shape {mu.shape} does not cover box {rcfg.m}")
     target = coeffs_from_moments(mu, rcfg.m, PrecisionContext(rcfg.precision_bits))
     target = CoeffTensor(rcfg.m, target.as_float())
-    return _run_swarm(target, d, rcfg, _digest(target.a, rcfg.m))
+    return _run_swarm(target, d, rcfg, _digest(target.a, rcfg.m), rcfg.precision_bits)
 
 
 def theoretical_moments(

@@ -7,24 +7,26 @@ function is ``K(t) = -sum_i alpha_i ln(1 - <s_i, t>)``.  Equivalently
 ``X = s' Z`` for independent unit-scale gamma variables ``Z_i``.
 
 The module provides the cgf, the ``-1``-shifted cumulant and moment
-tensors, the recursive computation of Laguerre coefficients, exact
+tensors, the Laguerre coefficients (a batched double kernel from the
+generating function of the basis and the extended-precision reference
+chain through the shifted moments), exact
 closed forms for the single-atom case (including its inversion), gamma
 series baselines and sampling.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Tuple
 
 import mpmath
 import numpy as np
 from mpmath import mpf
 
-from .laguerre import CoeffTensor
+from .laguerre import CoeffTensor, coeffs_from_moments
 from .numkit import (
     COEFF_DEFAULT,
     DOUBLE,
@@ -46,6 +48,8 @@ __all__ = [
     "shifted_cumulants",
     "cumulants_to_moments",
     "model_coeffs",
+    "batch_coeffs",
+    "float_coeffs",
     "gd1_coeffs",
     "gd1_invert",
     "sample",
@@ -152,40 +156,6 @@ def simplex_scales(model: GgcModel) -> np.ndarray:
     return model.scales / (1.0 + row_sum)
 
 
-@lru_cache(maxsize=64)
-def _recursion_plan(m: MultiIndex):
-    """Index machinery for the in-box recursions.
-
-    For each non-zero k (graded order): its flat position, the flat
-    positions of the sub-box ``l <= p`` (p = k lowered in its first
-    non-zero coordinate), the positions of ``k - l`` and the binomial
-    weights ``C(p, l)``.
-    """
-    shape = box_shape(m)
-    d = len(m)
-    order = []
-    for k in iterate_box(m):
-        kpos = int(np.ravel_multi_index(k, shape))
-        if sum(k) == 0:
-            order.append((k, kpos, None, None, None))
-            continue
-        first = next(j for j in range(d) if k[j] > 0)
-        p = list(k)
-        p[first] -= 1
-        p = tuple(p)
-        l_idx, kl_idx, w = [], [], []
-        for l in iterate_box(p):
-            l_idx.append(int(np.ravel_multi_index(l, shape)))
-            kl_idx.append(
-                int(np.ravel_multi_index(tuple(a - b for a, b in zip(k, l)), shape))
-            )
-            w.append(float(binom_prod(p, l)))
-        order.append(
-            (k, kpos, np.asarray(l_idx), np.asarray(kl_idx), np.asarray(w))
-        )
-    return tuple(order)
-
-
 def shifted_cumulants(
     model: GgcModel, m: Sequence[int], ctx: PrecisionContext = COEFF_DEFAULT
 ) -> np.ndarray:
@@ -236,87 +206,159 @@ def cumulants_to_moments(
     m = tuple(int(v) for v in m)
     if kappa.shape != box_shape(m):
         raise ValueError("cumulant tensor does not cover the box")
-    plan = _recursion_plan(m)
-    kf = kappa.ravel()
     obj = kappa.dtype == object
     with ctx.workprec():
-        mu = np.empty(kf.shape, dtype=object if obj else float)
-        for k, kpos, l_idx, kl_idx, w in plan:
-            if l_idx is None:
-                mu[kpos] = mpmath.exp(kf[kpos]) if obj else math.exp(kf[kpos])
+        mu = np.empty(kappa.shape, dtype=object if obj else float)
+        for k in iterate_box(m):
+            if not any(k):
+                mu[k] = mpmath.exp(kappa[k]) if obj else math.exp(kappa[k])
                 continue
-            if obj:
-                acc = mpf(0)
-                for lp, klp, wi in zip(l_idx, kl_idx, w):
-                    acc += mu[lp] * kf[klp] * mpf(wi)
-                mu[kpos] = acc
-            else:
-                mu[kpos] = float(np.dot(mu[l_idx] * w, kf[kl_idx]))
-    return mu.reshape(kappa.shape)
+            j = next(i for i, v in enumerate(k) if v)
+            p = k[:j] + (k[j] - 1,) + k[j + 1 :]
+            # the binomial weights stay exact integers: they pass 2^53 at p = 57
+            mu[k] = sum(
+                binom_prod(p, l) * mu[l] * kappa[tuple(a - b for a, b in zip(k, l))]
+                for l in itertools.product(*(range(v + 1) for v in p))
+            )
+    return mu
 
 
 def model_coeffs(
     model: GgcModel, m: Sequence[int], ctx: PrecisionContext = COEFF_DEFAULT
 ) -> ModelCoeffs:
-    """Laguerre coefficients of the model over the box ``k <= m``.
+    """Laguerre coefficients of the model over the box ``k <= m``, in
+    extended precision: the chain :func:`shifted_cumulants`,
+    :func:`cumulants_to_moments` and ``coeffs_from_moments``,
 
-    One fused pass computes ``kappa_k``, ``mu_k`` and the coefficient
+    ``a_k = sqrt(2)^d sum_{l <= k} C(k,l) (-2)^{|l|} / l!  mu_l``.
 
-    ``a_k = sqrt(2)^d sum_{l <= k} C(k,l) (-2)^{|l|} / l!  mu_l``
-
-    in extended precision.  The pass restarts with doubled precision
-    whenever an intermediate magnitude exceeds ``2^(bits/2)``, so the
-    returned values are always finite and accurate; the final precision
-    is reported.
+    The chain restarts with doubled precision whenever a shifted cumulant
+    or moment exceeds ``2^(bits/2)``, so the returned values are always
+    finite and accurate; the final precision is reported.  This is the
+    reference that :func:`batch_coeffs` is tested against.
     """
     m = tuple(int(v) for v in m)
     bits = ctx.bits
     while True:
-        result = _model_coeffs_at(model, m, bits)
-        if result is not None:
-            coeffs, shifted = result
-            return ModelCoeffs(coeffs, shifted, bits)
+        ctx = PrecisionContext(bits)
+        limit = mpf(2) ** (bits // 2)
+        kappa = shifted_cumulants(model, m, ctx)
+        if all(abs(v) <= limit for v in kappa.flat):
+            mu = cumulants_to_moments(kappa, m, ctx)
+            if all(abs(v) <= limit for v in mu.flat):
+                coeffs = coeffs_from_moments(mu, m, ctx)
+                return ModelCoeffs(coeffs, ShiftedTensors(m, kappa, mu), bits)
         bits *= 2
 
 
-def _model_coeffs_at(model: GgcModel, m: MultiIndex, bits: int):
-    ctx = PrecisionContext(bits)
+def batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m: Sequence[int]) -> np.ndarray:
+    """Laguerre coefficients of ``P`` models at once, in doubles.
+
+    ``alpha`` is ``P x n``; ``simplex`` is ``P x n x (d+1)``, each atom's
+    simplex scales ``x_ij = s_ij / (1 + |s_i|)`` followed by its residual
+    ``rho_i = 1 / (1 + |s_i|)``.  Returns ``P x B`` rows in the C-order
+    raveling of the box.
+
+    The generating function of the basis (Szego, Orthogonal Polynomials,
+    5.1) gives ``sum_k a_k z^k = exp(C(z))`` with
+
+    ``C = (d/2) ln 2 + sum_i alpha_i ln rho_i + sum_j -ln(1 - z_j)
+    - sum_i alpha_i ln(1 + u_i)``,  ``u_i = 2 sum_j x_ij z_j / (1 - z_j)``.
+
+    Each ``ln(1 + u_i)`` comes from one sparse series division free of
+    cancellation: at ``k`` with first non-zero coordinate ``j`` its
+    coefficient is ``M_k / k_j``, where
+    ``(1 - z_j) R_i M = 2 x_ij z_j prod_{l != j} (1 - z_l)`` and
+    ``R_i = prod_l (1 - z_l) (1 + u_i)`` is multilinear with ``R_i(0) = 1``.
+    One power-series exponential (Knuth, TAOCP vol. 2, 4.7) finishes.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    simplex = np.asarray(simplex, dtype=float)
+    P, n, d = simplex.shape[0], simplex.shape[1], simplex.shape[2] - 1
+    m = tuple(int(v) for v in m)
+    if len(m) != d:
+        raise ValueError(f"box has dimension {len(m)}, simplex rows {d}")
+    x, rho = simplex[:, :, :d], simplex[:, :, d]
     shape = box_shape(m)
-    d = len(m)
-    plan = _recursion_plan(m)
-    limit = mpf(2) ** (bits // 2)
-    with ctx.workprec():
-        kap = shifted_cumulants(model, m, ctx).ravel()
-        if any(abs(v) > limit for v in kap):
-            return None
-        mu = np.empty(kap.shape, dtype=object)
-        a = np.empty(kap.shape, dtype=object)
-        scale = mpf(2) ** (mpf(d) / 2)
-        # coefficient weights c_l = (-2)^{|l|} / l!, shared across k
-        cw = np.empty(kap.shape, dtype=object)
-        for l in iterate_box(m):
-            c = mpf(-2) ** sum(l)
-            for li in l:
-                c /= math.factorial(li)
-            cw[np.ravel_multi_index(l, shape)] = c
-        for k, kpos, l_idx, kl_idx, w in plan:
-            if l_idx is None:
-                mu[kpos] = mpmath.exp(kap[kpos])
-                a[kpos] = scale * mu[kpos]
-                continue
-            acc = mpf(0)
-            for lp, klp, wi in zip(l_idx, kl_idx, w):
-                acc += mu[lp] * kap[klp] * mpf(wi)
-            mu[kpos] = acc
-            if abs(acc) > limit:
-                return None
-            coef = mpf(0)
-            for l in iterate_box(k):
-                lp = np.ravel_multi_index(l, shape)
-                coef += mpf(binom_prod(k, l)) * cw[lp] * mu[lp]
-            a[kpos] = scale * coef
-        shifted = ShiftedTensors(m, kap.reshape(shape), mu.reshape(shape))
-        return CoeffTensor(m, a.reshape(shape)), shifted
+    # R_S = (-1)^{|S|} (1 - 2 sum_{l in S} x_il) on the multilinear monomials
+    R = {
+        S: (-1.0) ** sum(S) * (1.0 - 2.0 * sum(x[:, :, l] for l in range(d) if S[l]))
+        for S in itertools.product((0, 1), repeat=d)
+    }
+    C = np.zeros((P,) + shape)
+    for j in (j for j in range(d) if m[j]):
+        # M over the entries with z_{<j} = 0 and k_j >= 1, padded by one
+        # zero slot in front of every axis so the recurrence reads zeros
+        # outside the box
+        sub = shape[j:]
+        M = np.zeros(tuple(v + 1 for v in sub) + (P, n))
+        Mf = M.reshape(-1, P, n)
+        strides = [math.prod(v + 1 for v in sub[i + 1 :]) for i in range(len(sub))]
+        stencil = []  # (flat offset, coefficient) of (1 - z_j) R_i
+        for t in itertools.product((0, 1, 2), *[(0, 1)] * (d - j - 1)):
+            S = (0,) * j + tuple(min(v, 1) for v in t)
+            if t[0] == 0:
+                c = R[S]
+            elif t[0] == 1:
+                c = R[S] - R[S[:j] + (0,) + S[j + 1 :]]
+            else:
+                c = -R[S]
+            if any(t):
+                stencil.append((sum(a * b for a, b in zip(t, strides)), c))
+        for tail in itertools.product(*(range(min(v, 2)) for v in sub[1:])):
+            M[(2,) + tuple(v + 1 for v in tail)] = (-1.0) ** sum(tail) * 2.0 * x[:, :, j]
+        inner = (slice(2, None),) + (slice(1, None),) * (len(sub) - 1)
+        for q in np.arange(len(Mf)).reshape(M.shape[:-2])[inner].ravel().tolist():
+            acc = Mf[q]
+            for off, c in stencil:
+                acc -= c * Mf[q - off]
+        kj = np.arange(1, sub[0]).reshape((-1,) + (1,) * (len(sub) - 1))
+        C[(slice(None),) + (0,) * j + (slice(1, None),)] -= (
+            np.einsum("...pn,pn->p...", M[inner], alpha) / kj
+        )
+        del M, Mf
+        C[(slice(None),) + (0,) * j + (slice(1, None),) + (0,) * (d - j - 1)] += (
+            1.0 / np.arange(1, shape[j])
+        )
+    C[(slice(None),) + (0,) * d] = 0.5 * d * math.log(2.0) + (alpha * np.log(rho)).sum(axis=1)
+    return _series_exp(C).reshape(P, -1)
+
+
+def _series_exp(C: np.ndarray) -> np.ndarray:
+    """``exp`` of ``P`` truncated power series (``P x box`` array) by
+    ``k_0 E_k = sum_{l <= k, l_0 >= 1} l_0 C_l E_{k-l}``, with the
+    ``k_0 = 0`` slice done recursively.  The products of slices over the
+    trailing axes are truncated FFT products."""
+    E = np.empty_like(C)
+    E[:, 0] = _series_exp(C[:, 0]) if C.ndim > 2 else np.exp(C[:, 0])
+    n0, rest = C.shape[1], C.shape[2:]
+    lc = C * np.arange(n0).reshape((1, n0) + (1,) * len(rest))
+    if not rest:
+        for k in range(1, n0):
+            E[:, k] = np.einsum("pl,pl->p", lc[:, 1 : k + 1], E[:, k - 1 :: -1]) / k
+        return E
+    # FFT length 2r - 1 per axis keeps the wrap-around out of the box
+    fft_shape = tuple(2 * r - 1 for r in rest)
+    axes = tuple(range(1, len(rest) + 1))
+    box = (slice(None),) + tuple(slice(r) for r in rest)
+    Ch = np.fft.rfftn(lc, fft_shape, tuple(a + 1 for a in axes))
+    Eh = np.empty_like(Ch)
+    Eh[:, 0] = np.fft.rfftn(E[:, 0], fft_shape, axes)
+    for k in range(1, n0):
+        acc = np.einsum("pl...,pl...->p...", Ch[:, 1 : k + 1], Eh[:, k - 1 :: -1])
+        E[:, k] = np.fft.irfftn(acc, fft_shape, axes)[box] / k
+        if k + 1 < n0:
+            Eh[:, k] = np.fft.rfftn(E[:, k], fft_shape, axes)
+    return E
+
+
+def float_coeffs(model: GgcModel, m: Sequence[int]) -> CoeffTensor:
+    """Coefficients of one model from :func:`batch_coeffs`."""
+    m = tuple(int(v) for v in m)
+    row_sum = model.scales.sum(axis=1, keepdims=True)
+    simplex = np.hstack([model.scales, np.ones_like(row_sum)]) / (1.0 + row_sum)
+    a = batch_coeffs(model.alpha[None, :], simplex[None], m)[0]
+    return CoeffTensor(m, a.reshape(box_shape(m)))
 
 
 def gd1_coeffs(

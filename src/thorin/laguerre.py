@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -22,10 +21,7 @@ from .numkit import (
     COEFF_DEFAULT,
     MultiIndex,
     PrecisionContext,
-    binom_prod,
     box_shape,
-    box_size,
-    iterate_box,
 )
 
 __all__ = [
@@ -178,33 +174,14 @@ def empirical_coeffs(samples, m: Sequence[int]) -> CoeffTensor:
     return CoeffTensor(m, total / N)
 
 
-@lru_cache(maxsize=64)
-def _moment_matrix(m: MultiIndex) -> np.ndarray:
-    """Dense transform from shifted moments to coefficients (float64).
-
-    ``M[k, l] = C(k, l) (-2)^{|l|} / l!`` for ``l <= k``, indexed by the
-    C-order raveling of the box.
-    """
-    B = box_size(m)
-    shape = box_shape(m)
-    M = np.zeros((B, B))
-    for k in iterate_box(m):
-        kpos = np.ravel_multi_index(k, shape)
-        for l in iterate_box(k):
-            c = binom_prod(k, l) * (-2.0) ** sum(l)
-            for li in l:
-                c /= math.factorial(li)
-            M[kpos, np.ravel_multi_index(l, shape)] = c
-    return M
-
-
 def coeffs_from_moments(mu, m: Sequence[int] = None, ctx: PrecisionContext = None) -> CoeffTensor:
     """Coefficients from ``-1``-shifted moments over the full box:
 
     ``a_k = sqrt(2)^d sum_{l <= k} C(k,l) (-2)^{|l|} / l! mu_l``.
 
     ``mu`` is a dense array over the box (float or mpf entries); mpf
-    input keeps extended precision in the output.
+    input keeps extended precision in the output.  The weights factor
+    over the axes, so the sum is applied one axis at a time.
     """
     mu = np.asarray(mu)
     if m is None:
@@ -213,23 +190,19 @@ def coeffs_from_moments(mu, m: Sequence[int] = None, ctx: PrecisionContext = Non
     if mu.shape != box_shape(m):
         raise ValueError(f"moment tensor shape {mu.shape} does not match box {m}")
     d = len(m)
-    if mu.dtype == object:
-        ctx = ctx or COEFF_DEFAULT
-        with ctx.workprec():
-            scale = mpf(2) ** (mpf(d) / 2)
-            out = np.empty(box_shape(m), dtype=object)
-            for k in iterate_box(m):
-                acc = mpf(0)
-                for l in iterate_box(k):
-                    c = mpf(binom_prod(k, l)) * mpf(-2) ** sum(l)
-                    for li in l:
-                        c /= math.factorial(li)
-                    acc += c * mu[l]
-                out[k] = scale * acc
-        return CoeffTensor(m, out)
-    M = _moment_matrix(m)
-    flat = M @ mu.astype(float).ravel()
-    return CoeffTensor(m, 2.0 ** (d / 2.0) * flat.reshape(box_shape(m)))
+    exact = mu.dtype == object
+    num = mpf if exact else float
+    with (ctx or COEFF_DEFAULT).workprec():
+        a = mu if exact else mu.astype(float)
+        for j, mj in enumerate(m):
+            w = [num(-2) ** l / math.factorial(l) for l in range(mj + 1)]
+            T = np.array(
+                [[math.comb(k, l) * w[l] if l <= k else num(0) for l in range(mj + 1)]
+                 for k in range(mj + 1)],
+                dtype=object if exact else float,
+            )
+            a = np.moveaxis(np.tensordot(T, a, axes=([1], [j])), 0, j)
+        return CoeffTensor(m, num(2) ** (num(d) / 2) * a)
 
 
 def density_eval(coeffs: CoeffTensor, x) -> float:

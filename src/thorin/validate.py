@@ -10,7 +10,6 @@ fixture used to exercise discretization convergence.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -112,23 +111,18 @@ def qq_points(samples, quantile_fn: Callable, count: int, drop_tail: int = 0):
 
 
 def resampled_pvalues(
-    model: GgcModel, true_cdf: Callable, N: int, B: int, seed: int, workers: int = 1
+    model: GgcModel, true_cdf: Callable, N: int, B: int, seed: int
 ) -> np.ndarray:
     """``B`` independent exact-KS p-values of size-``N`` model samples
     against a reference cdf; replicate RNG streams are split from the
-    seed, so the output is reproducible for any worker count."""
+    seed, so the output is reproducible."""
     if model.d != 1:
         raise ValueError("resampling validation is univariate")
     streams = np.random.SeedSequence(seed).spawn(B)
-
-    def one(ss):
-        xs = sample(model, N, np.random.default_rng(ss))
-        return ks_exact(xs.ravel(), true_cdf).p_value
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.array(list(pool.map(one, streams)))
-    return np.array([one(ss) for ss in streams])
+    return np.array(
+        [ks_exact(sample(model, N, np.random.default_rng(ss)).ravel(), true_cdf).p_value
+         for ss in streams]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,21 @@ class TestFit:
         assert report["wb"]["is_wb"] is True
         for key in ("model", "loss", "wb", "m", "n", "seed", "bits_used", "tool_version"):
             assert key in report
+        assert report["bits_used"] == 53
         ct = CoeffTensor.from_json((out / "coeffs.json").read_text())
         assert ct.m == (2,)
+
+    def test_precision_and_thread_flags_only_where_used(self, tmp_path, gamma_csv):
+        # fits run in doubles and validation in one thread: both flags are
+        # usage errors there
+        rc = main(["fit", "--input", str(gamma_csv), "--output", str(tmp_path / "o"),
+                   "--n", "1", "--bits", "128"])
+        assert rc == EXIT_CONFIG
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GgcModel([1.0], [[1.0]]).to_json())
+        rc = main(["validate", "--model", str(model_path), "--target", "lognormal",
+                   "--threads", "2", "--output", str(tmp_path / "v")])
+        assert rc == EXIT_CONFIG
 
     def test_negative_entry_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -8,15 +8,15 @@ from mpmath import mpf
 from thorin.estimator import (
     FitConfig,
     QuadratureError,
-    _batch_coeffs,
     _decode,
+    _fitted_model,
     default_box,
     fit_empirical,
     loss_Lm,
     project_density,
     theoretical_moments,
 )
-from thorin.ggc import GgcModel, model_coeffs, sample, simplex_scales
+from thorin.ggc import GgcModel, batch_coeffs, model_coeffs, sample
 from thorin.laguerre import CoeffTensor
 from thorin.numkit import PrecisionContext
 
@@ -77,13 +77,14 @@ class TestLoss:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_deep_box_precision_path(self):
+        # deep boxes stay in doubles and still match the extended-precision
+        # oracle
         model = GgcModel([2.0], [[2.0]])
-        m = (26,)
-        target = CoeffTensor(m, np.zeros(27))
-        deep = loss_Lm(target, model, m)
-        x = simplex_scales(model)
-        flat = _batch_coeffs(model.alpha[None, :], x[None, :, :], m)[0]
-        assert deep == pytest.approx(float(flat @ flat), rel=1e-10)
+        for m in [(26,), (60,)]:
+            target = CoeffTensor(m, np.zeros(m[0] + 1))
+            deep = loss_Lm(target, model, m)
+            flat = model_coeffs(model, m).coeffs.as_float().ravel()
+            assert deep == pytest.approx(float(flat @ flat), rel=1e-10)
 
     def test_box_mismatch(self):
         target = CoeffTensor((3,), np.zeros(4))
@@ -96,25 +97,47 @@ class TestDecode:
         rng = np.random.default_rng(1)
         for n, d in [(1, 1), (3, 2), (5, 3)]:
             params = rng.normal(scale=8.0, size=(200, n * (d + 2)))
-            alpha, x = _decode(params, n, d, 1e-12)
+            alpha, simplex = _decode(params, n, d, 1e-12)
+            x, rho = simplex[:, :, :d], simplex[:, :, d]
             assert np.all(alpha >= 1e-12)
             assert np.all(x >= 0.0)
             assert np.all(x.sum(axis=2) < 1.0)
+            assert np.all(rho > 0.0)
+            np.testing.assert_allclose(x.sum(axis=2) + rho, 1.0, rtol=1e-15)
             for i in range(0, 200, 50):
-                s = x[i] / (1.0 - x[i].sum(axis=1, keepdims=True))
+                s = x[i] / rho[i][:, None]
                 GgcModel(np.maximum(alpha[i], 1e-12), np.maximum(s, 0) + 1e-300)
 
     def test_batch_coeffs_match_reference(self):
         rng = np.random.default_rng(2)
-        for d, m in [(1, (6,)), (2, (2, 3)), (3, (1, 1, 2))]:
+        for d, m in [(1, (6,)), (1, (0,)), (2, (2, 3)), (2, (3, 0)), (3, (1, 1, 2))]:
             n = int(rng.integers(1, 4))
             alpha = rng.uniform(0.3, 3.0, (4, n))
             x = rng.dirichlet(np.ones(d + 1), size=(4, n))[:, :, :d] * 0.9
-            flat = _batch_coeffs(alpha, x, m)
+            simplex = np.concatenate([x, 1.0 - x.sum(axis=2, keepdims=True)], axis=2)
+            flat = batch_coeffs(alpha, simplex, m)
             for p in range(4):
-                s = x[p] / (1.0 - x[p].sum(axis=1, keepdims=True))
+                s = x[p] / simplex[p, :, d:]
                 ref = model_coeffs(GgcModel(alpha[p], s), m).coeffs.as_float()
-                np.testing.assert_allclose(flat[p], ref.ravel(), rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(flat[p], ref.ravel(), rtol=1e-9, atol=1e-13)
+
+    def test_fitted_model_drops_vanishing_atoms(self):
+        # a Gamma factor with vanishing scale is a point mass at the origin,
+        # the identity of convolution; tiny entries of live rows snap to 0
+        alpha = np.array([0.8, 26900.0, 1.5])
+        s = np.array([[2.0, 1e-13], [1e-15, 9.9e-16], [0.3, 0.7]])
+        simplex = np.hstack([s, np.ones((3, 1))]) / (1.0 + s.sum(axis=1, keepdims=True))
+        model = _fitted_model(alpha, simplex)
+        np.testing.assert_array_equal(model.alpha, [0.8, 1.5])
+        np.testing.assert_allclose(model.scales, [[2.0, 0.0], [0.3, 0.7]], rtol=1e-15)
+        # at least one atom stays: the one with the largest row
+        dead = np.array([[1e-12, 0.0], [3e-12, 1e-13]])
+        simplex = np.hstack([dead, np.ones((2, 1))]) / (1.0 + dead.sum(axis=1, keepdims=True))
+        lone = _fitted_model(alpha[:2], simplex)
+        assert lone.n == 1
+        assert lone.alpha[0] == 26900.0
+        assert lone.scales[0, 0] == pytest.approx(3e-12, rel=1e-12)
+        assert lone.scales[0, 1] == 0.0
 
 
 class TestFitEmpirical:

@@ -7,11 +7,14 @@ from mpmath import mpf
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kendalltau
 
+from thorin.estimator import _decode, _init_particles
 from thorin.ggc import (
     GgcModel,
+    batch_coeffs,
     cgf,
     concatenate,
     cumulants_to_moments,
+    float_coeffs,
     gd1_coeffs,
     gd1_invert,
     linear_combination,
@@ -23,7 +26,7 @@ from thorin.ggc import (
     simplex_scales,
 )
 from thorin.laguerre import coeffs_from_moments, empirical_coeffs, phi_univariate
-from thorin.numkit import COEFF_DEFAULT, PrecisionContext, box_shape, iterate_box
+from thorin.numkit import PrecisionContext, box_shape, iterate_box
 
 SQRT2 = math.sqrt(2.0)
 
@@ -228,11 +231,10 @@ class TestModelCoeffs:
                 rec.as_float(), exact.a, rtol=1e-10, atol=1e-12
             )
 
-    def test_fused_equals_composition(self):
-        # the one-pass recursion must agree with the three-stage pipeline
-        # entrywise at working precision
+    def test_kernel_equals_chain(self):
+        # the double kernel agrees with the extended-precision chain
+        # shifted_cumulants -> cumulants_to_moments -> coeffs_from_moments
         rng = np.random.default_rng(6)
-        digits = COEFF_DEFAULT.digits
         for _ in range(50):
             n = int(rng.integers(1, 6))
             d = int(rng.integers(1, 4))
@@ -243,14 +245,23 @@ class TestModelCoeffs:
                 m = tuple(int(v) for v in rng.integers(1, 4, 2))
             else:
                 m = tuple(int(v) for v in rng.integers(1, 3, 3))
-            fused = model_coeffs(model, m).coeffs
             kap = shifted_cumulants(model, m)
-            comp = coeffs_from_moments(cumulants_to_moments(kap, m), m)
-            scale = max(1.0, np.abs(fused.as_float()).max())
-            with mpmath.workprec(300):
-                for k in iterate_box(m):
-                    diff = abs(fused.a[k] - comp.a[k])
-                    assert float(diff) <= scale * 10.0 ** -(digits - 4)
+            chain = coeffs_from_moments(cumulants_to_moments(kap, m), m)
+            np.testing.assert_allclose(
+                float_coeffs(model, m).a, chain.as_float(), rtol=0, atol=1e-13
+            )
+
+    def test_deep_box_matches_single_exponential_closed_form(self):
+        # one exponential atom: a_k = sqrt(2) r^k / (1 + s), r = (1-s)/(1+s);
+        # the binomial weights of the recursion pass 2^53 from degree 58 on
+        s = 1e3
+        r = (1.0 - s) / (1.0 + s)
+        exact = SQRT2 * r ** np.arange(61) / (1.0 + s)
+        model = GgcModel([1.0], [[s]])
+        for bits in (256, 2048):
+            a = model_coeffs(model, (60,), PrecisionContext(bits)).coeffs.as_float()
+            np.testing.assert_allclose(a, exact, rtol=1e-12)
+        np.testing.assert_allclose(float_coeffs(model, (60,)).a, exact, rtol=0, atol=1e-15)
 
     def test_precision_escalation_reports_bits(self):
         # factorial growth in the cumulants trips the overflow guard for
@@ -321,6 +332,46 @@ class TestModelCoeffs:
                         kl = tuple(x - y for x, y in zip(k, l))
                         conv += binom_prod(k, l) * mu_a[l] * mu_b[kl]
                     assert abs(mu_ab[k] - conv) <= abs(conv) * mpf("1e-60") + mpf("1e-70")
+
+
+class TestBatchCoeffs:
+    """The double kernel against the 256-bit reference over swarm-reachable
+    particles and single atoms at the extremes of shape and scale."""
+
+    @staticmethod
+    def max_error(alpha, simplex, m):
+        got = batch_coeffs(alpha, simplex, m)
+        d = len(m)
+        err = 0.0
+        for p in range(alpha.shape[0]):
+            model = GgcModel(alpha[p], simplex[p, :, :d] / simplex[p, :, d:])
+            ref = model_coeffs(model, m).coeffs.as_float().ravel()
+            err = max(err, float(np.abs(got[p] - ref).max()))
+        return err
+
+    @pytest.mark.parametrize("m", [(60,), (20, 20), (3, 3, 3)])
+    def test_swarm_particles(self, m):
+        rng = np.random.default_rng(12)
+        d, n, P = len(m), 3, 3
+        init = _init_particles(rng, P, n, d)
+        uniform = rng.uniform(-18.0, 0.0, size=(P, n * (d + 2)))
+        uniform[:, :n] = rng.uniform(math.log(1e-2), math.log(1e2), size=(P, n))
+        for params in (init, uniform):
+            alpha, simplex = _decode(params, n, d, 1e-12)
+            assert self.max_error(alpha, simplex, m) <= 1e-13
+
+    @pytest.mark.parametrize("m", [(60,), (6, 6)])
+    def test_single_atom_extremes(self, m):
+        d = len(m)
+        for a in (0.01, 1.0, 50.0, 80.0, 100.0):
+            for s in (1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e12):
+                row = np.full(d, s)
+                simplex = np.append(row, 1.0) / (1.0 + row.sum())
+                assert self.max_error(np.array([[a]]), simplex[None, None], m) <= 1e-13
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError):
+            batch_coeffs(np.ones((1, 1)), np.full((1, 1, 3), 1 / 3), (4,))
 
 
 class TestGd1:

@@ -122,13 +122,6 @@ class TestResampledPvalues:
         )
         assert np.mean(pv < 0.01) >= 0.95
 
-    def test_worker_count_does_not_change_results(self):
-        model = GgcModel([2.0], [[1.0]])
-        cdf = lambda x: gamma_dist.cdf(x, 2.0, scale=1.0)
-        a = resampled_pvalues(model, cdf, 300, 16, seed=7, workers=1)
-        b = resampled_pvalues(model, cdf, 300, 16, seed=7, workers=4)
-        assert np.array_equal(a, b)
-
     def test_univariate_only(self):
         with pytest.raises(ValueError):
             resampled_pvalues(
