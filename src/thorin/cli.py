@@ -99,11 +99,15 @@ def _write_csv(path: Path, arr: np.ndarray, header: str = None):
 
 
 def _load_model(path: str) -> GgcModel:
+    """A ``model.json``, or the ``"model"`` object of a fit's ``report.json``."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"model file not found: {path}")
     try:
-        return GgcModel.from_json(p.read_text())
+        obj = json.loads(p.read_text())
+        if isinstance(obj, dict) and "model" in obj:
+            obj = obj["model"]
+        return GgcModel(np.asarray(obj["alpha"]), np.asarray(obj["scales"]))
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: invalid model JSON ({exc})")
 

@@ -25,7 +25,7 @@ from mpmath import mpf
 from .ggc import GgcModel, batch_coeffs, float_coeffs
 from .laguerre import CoeffTensor, coeffs_from_moments, empirical_coeffs, validate_samples
 from .numkit import COEFF_DEFAULT, PrecisionContext, box_shape
-from .wellbehaved import best_eps
+from .wellbehaved import WbReport, best_eps
 
 __all__ = [
     "FitConfig",
@@ -104,7 +104,7 @@ class FitReport:
 
     model: GgcModel
     loss: float
-    wb: "object"
+    wb: WbReport
     m: Tuple[int, ...]
     n: int
     seed: int

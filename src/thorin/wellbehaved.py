@@ -6,11 +6,14 @@ of the mass) is rank-deficient, and the unique solutions of the
 corresponding linear systems keep the Moebius-transformed singularities
 outside the unit polydisc.  The margin by which they stay outside is the
 best epsilon reported here; it controls how fast Laguerre coefficients
-can decay.
+can decay.  In d >= 2 the subsets are not enumerated: the search visits
+the O(n^d) subspaces and affine hyperplanes spanned by atoms, so there is
+no cap on the atom count.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -32,10 +35,7 @@ __all__ = [
     "best_eps",
     "classify_dependence",
     "decay_check",
-    "SUBSET_ENUMERATION_CAP",
 ]
-
-SUBSET_ENUMERATION_CAP = 22
 
 _RAY_TOL = 1e-9
 
@@ -46,15 +46,13 @@ class WbReport:
 
     ``best_eps`` is the supremum of admissible margins (0 when the model
     is not well-behaved, possibly ``inf``); ``witness`` describes the
-    violating atom subset or ray set, if any.  ``undecided`` is set when
-    the atom count exceeds the subset-enumeration cap.
+    violating atom subset or ray set, if any.
     """
 
     is_wb: bool
     best_eps: float
     total_mass: float
     witness: Optional[str] = None
-    undecided: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -62,7 +60,6 @@ class WbReport:
             "best_eps": self.best_eps if math.isfinite(self.best_eps) else "inf",
             "total_mass": self.total_mass,
             "witness": self.witness,
-            "undecided": self.undecided,
         }
 
     def to_json(self) -> str:
@@ -117,45 +114,10 @@ def disc_image(b: float) -> Tuple[float, float]:
 # majority-subset machinery
 
 
-def _subset_masses(alpha: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-bitmask total mass and minimum member mass, chunked to bound
-    memory for n up to the enumeration cap."""
-    n = alpha.size
-    size = 1 << n
-    bits = np.arange(n)
-    S = np.empty(size)
-    Mn = np.empty(size)
-    chunk = 1 << 18
-    for lo in range(0, size, chunk):
-        masks = np.arange(lo, min(lo + chunk, size), dtype=np.int64)
-        member = (masks[:, None] >> bits[None, :]) & 1 == 1
-        sel = np.where(member, alpha[None, :], 0.0)
-        S[lo : lo + masks.size] = sel.sum(axis=1)
-        Mn[lo : lo + masks.size] = np.where(member, alpha[None, :], np.inf).min(axis=1)
-    return S, Mn
-
-
-def _minimal_majority_masks(alpha: np.ndarray) -> np.ndarray:
-    """Bitmasks of minimal majority subsets: strictly more than half the
-    mass, and no single member removable without losing the majority."""
-    total = alpha.sum()
-    S, Mn = _subset_masses(alpha)
-    majority = 2.0 * S > total
-    minimal = 2.0 * (S - Mn) <= total
-    masks = np.nonzero(majority & minimal)[0]
-    return masks[masks > 0]
-
-
-def _mask_indices(mask: int, n: int) -> Tuple[int, ...]:
-    return tuple(i for i in range(n) if (mask >> i) & 1)
-
-
-def _relative_residual(rows: np.ndarray, t: np.ndarray) -> float:
-    """Largest per-equation residual of ``rows @ t = 1``, each measured
-    against its own cancellation scale ``1 + sum_j |r_ij t_j|``."""
-    resid = np.abs(rows @ t - 1.0)
-    scale = 1.0 + np.abs(rows) @ np.abs(t)
-    return float((resid / scale).max())
+def _relative_residual(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-equation residuals of ``rows @ t = 1``, each measured against
+    its own cancellation scale ``1 + sum_j |r_ij t_j|``."""
+    return np.abs(rows @ t - 1.0) / (1.0 + np.abs(rows) @ np.abs(t))
 
 
 def _mp_rank_and_solve(rows: np.ndarray):
@@ -170,7 +132,7 @@ def _mp_rank_and_solve(rows: np.ndarray):
         one = mpmath.matrix([[1.0]] * rows.shape[0])
         t = mpmath.lu_solve(A.T * A, A.T * one)
         t = np.array([float(t[i]) for i in range(t.rows)])
-        return rank, t, _relative_residual(rows, t)
+        return rank, t, float(_relative_residual(rows, t).max())
 
 
 def _subset_geometry(rows: np.ndarray):
@@ -193,7 +155,7 @@ def _subset_geometry(rows: np.ndarray):
             return True, (t if res <= 1e-9 else None)
         return False, None
     t, *_ = np.linalg.lstsq(rows, np.ones(rows.shape[0]), rcond=None)
-    res = _relative_residual(rows, t)
+    res = float(_relative_residual(rows, t).max())
     if res > 1e-6:
         return True, None
     if res > 1e-12:  # ambiguous consistency: re-check tightly
@@ -202,6 +164,21 @@ def _subset_geometry(rows: np.ndarray):
             return False, None
         return True, (t_mp if res_mp <= 1e-9 else None)
     return True, t
+
+
+def _rank_below(stack: np.ndarray, r: int) -> np.ndarray:
+    """Whether each matrix of ``stack`` (shape ``(c, k, d)``) has rank
+    below ``r``, with the bands of :func:`_subset_geometry`: its r-th
+    singular value is at most 1e-13 of the largest, and ratios above
+    1e-30 are re-decided in 128-bit arithmetic."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    if sv.shape[-1] < r:
+        return np.ones(stack.shape[0], dtype=bool)
+    ratio = sv[:, r - 1] / np.where(sv[:, 0] > 0, sv[:, 0], 1.0)
+    below = ratio <= 1e-13
+    for i in np.flatnonzero(below & (ratio > 1e-30)):
+        below[i] = _mp_rank_and_solve(stack[i])[0] < r
+    return below
 
 
 def _subset_eps(t_star: np.ndarray) -> float:
@@ -215,52 +192,64 @@ def _interval_eps_1d(scales: np.ndarray) -> float:
     return min(_h_modulus(complex(s)) for s in scales.ravel()) - 1.0
 
 
-def _best_eps_general(model: GgcModel, include_atoms: bool) -> Tuple[float, Optional[str]]:
-    """Supremum margin via subset enumeration.
+def _majority_eps(alpha: np.ndarray, scales: np.ndarray) -> Tuple[float, Optional[str]]:
+    """Supremum margin over the majority subsets of atoms in d >= 2.
 
-    Every minimal majority subset is examined (supersets inherit their
-    constraints).  With ``include_atoms`` each single atom is examined as
-    well, which in one dimension accounts for the poles every atom
-    contributes regardless of its mass.
+    A rank-deficient majority subset exists iff the atoms do not span
+    R^d, or the atoms in the span of some d-1 independent atoms carry
+    more than half the mass.  A consistent full-rank majority subset
+    with solution ``t`` exists iff the hyperplane ``<s, t> = 1`` through
+    some d independent atoms holds more than half the mass.  Both
+    searches visit the O(n^d) atom tuples and test all atoms against
+    each one in a single vectorized step; only atoms in the gray bands
+    of :func:`_subset_geometry` are re-decided one by one.
     """
-    n = model.n
-    masks = [int(m) for m in _minimal_majority_masks(model.alpha)]
-    if include_atoms:
-        masks = sorted(set(masks) | {1 << i for i in range(n)})
-    best = math.inf
-    witness = None
-    seen = {}
-    for mask in masks:
-        idx = _mask_indices(mask, n)
-        rows = model.scales[list(idx)]
-        if model.d == 1:
-            # consistent iff the subset shares one scale; the solution is
-            # its reciprocal
-            t_star = np.array([1.0 / rows[0, 0]]) if np.unique(rows).size == 1 else None
-        else:
-            key = tuple(sorted(map(tuple, rows.tolist())))
-            if key not in seen:
-                seen[key] = _subset_geometry(rows)
-            rank_ok, t_star = seen[key]
-            if not rank_ok:
-                # every enumerated subset in d >= 2 carries the majority,
-                # so a deficient one settles the matter
-                return 0.0, f"rank-deficient majority subset {idx}"
-        if t_star is None:
+    n, d = scales.shape
+    total = alpha.sum()
+    if _rank_below(scales[None], d)[0]:
+        return 0.0, f"rank-deficient majority subset {tuple(range(n))}"
+    for basis in itertools.combinations(range(n), d - 1):
+        rows = scales[list(basis)]
+        if _rank_below(rows[None], d - 1)[0]:
             continue
-        eps = _subset_eps(t_star)
-        if eps < best:
-            best = eps
-            witness = f"subset {idx}"
-    return best, (witness if math.isfinite(best) else None)
+        inside = np.zeros(n, dtype=bool)
+        inside[list(basis)] = True
+        rest = np.flatnonzero(~inside)
+        stack = np.concatenate(
+            [np.broadcast_to(rows, (rest.size, d - 1, d)), scales[rest, None]], axis=1
+        )
+        inside[rest] = _rank_below(stack, d)
+        if 2.0 * alpha[inside].sum() > total:
+            return 0.0, f"rank-deficient majority subset {tuple(np.flatnonzero(inside).tolist())}"
+    best, witness = math.inf, None
+    for basis in itertools.combinations(range(n), d):
+        rows = scales[list(basis)]
+        t = _subset_geometry(rows)[1]
+        if t is None:
+            continue
+        res = _relative_residual(scales, t)
+        on = res <= 1e-12
+        for j in np.flatnonzero((res > 1e-12) & (res <= 1e-6)):
+            on[j] = _subset_geometry(np.vstack([rows, scales[j]]))[1] is not None
+        on[list(basis)] = True
+        if 2.0 * alpha[on].sum() > total:
+            # solve over every atom on the hyperplane, so that all the
+            # d-tuples spanning it give the same singular point
+            refit = _subset_geometry(scales[on])[1]
+            t = t if refit is None else refit
+            eps = _subset_eps(t)
+            if eps < best:
+                best, witness = eps, f"subset {tuple(np.flatnonzero(on).tolist())}"
+    return best, witness
 
 
 def best_eps(model: GgcModel) -> WbReport:
     """Supremum of margins for which the model passes the subset test.
 
     Zero means not well-behaved; ``inf`` means no majority subset
-    produces a bounded singular point.  Atom counts above
-    ``SUBSET_ENUMERATION_CAP`` return an undecided report.
+    produces a bounded singular point.  In d >= 2 the majority subsets
+    are searched through the O(n^d) candidate subspaces and hyperplanes
+    spanned by atoms, so any atom count is decided.
     """
     total = model.total_mass
     if total <= 1.0:
@@ -268,29 +257,24 @@ def best_eps(model: GgcModel) -> WbReport:
     if model.d == 1:
         eps = _interval_eps_1d(model.scales)
         return WbReport(eps > 0, eps, total)
-    if model.n > SUBSET_ENUMERATION_CAP:
-        return WbReport(
-            False, 0.0, total,
-            witness=f"undecided: n > {SUBSET_ENUMERATION_CAP}", undecided=True,
-        )
-    eps, witness = _best_eps_general(model, include_atoms=False)
+    eps, witness = _majority_eps(model.alpha, model.scales)
     return WbReport(eps > 0, eps, total, witness=witness if eps == 0.0 else None)
 
 
 def is_eps_wb(model: GgcModel, eps: float) -> WbReport:
     """Whether the model passes the subset test at the given margin.
 
-    ``is_wb`` holds iff the total mass exceeds one and ``eps`` lies
-    strictly below the supremum margin.
+    ``is_wb`` holds iff ``eps`` lies strictly below the supremum margin,
+    which is positive only when the total mass exceeds one.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     rep = best_eps(model)
-    verdict = (not rep.undecided) and rep.total_mass > 1.0 and eps < rep.best_eps
+    verdict = eps < rep.best_eps
     witness = rep.witness
-    if not verdict and witness is None and not rep.undecided:
+    if not verdict and witness is None:
         witness = f"margin {eps} >= best {rep.best_eps}"
-    return WbReport(verdict, rep.best_eps, rep.total_mass, witness, rep.undecided)
+    return WbReport(verdict, rep.best_eps, rep.total_mass, witness)
 
 
 # ---------------------------------------------------------------------------

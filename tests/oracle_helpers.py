@@ -1,10 +1,12 @@
 """Independent combinatorial oracles shared by the test modules."""
 
+import itertools
 import math
 
 import numpy as np
 
 from thorin.numkit import box_shape, iterate_box
+from thorin.wellbehaved import _subset_eps, _subset_geometry
 
 
 def set_partitions(elements):
@@ -42,3 +44,27 @@ def brute_force_moments(kappa: np.ndarray, m) -> np.ndarray:
             total += prod
         out[k] = mu0 * total
     return out
+
+
+def enumerated_best_eps(model) -> float:
+    """Well-behavedness margin of a model with d >= 2 from every minimal
+    majority subset of its atoms (more than half the mass, and no member
+    removable without losing that): 0 if one is rank-deficient, else the
+    smallest margin over the consistent ones.  Exponential in the atom
+    count and independent of the candidate search in ``best_eps``."""
+    alpha, scales = model.alpha, model.scales
+    total = alpha.sum()
+    if total <= 1.0:
+        return 0.0
+    best = math.inf
+    for size in range(1, model.n + 1):
+        for idx in itertools.combinations(range(model.n), size):
+            mass = alpha[list(idx)]
+            if not 2.0 * mass.sum() > total >= 2.0 * (mass.sum() - mass.min()):
+                continue
+            rank_ok, t = _subset_geometry(scales[list(idx)])
+            if not rank_ok:
+                return 0.0
+            if t is not None:
+                best = min(best, _subset_eps(t))
+    return best

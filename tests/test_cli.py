@@ -171,6 +171,26 @@ class TestCoeffsAndWb:
         assert payload["dependence"]["kind"] in ("independent", "comonotonic", "general")
 
 
+    def test_fit_report_feeds_model_commands(self, tmp_path, gamma_csv):
+        # a fit's report.json holds the model under "model"
+        out = tmp_path / "fit"
+        rc = main(["fit", "--input", str(gamma_csv), "--output", str(out), "--n", "1",
+                   "--m", "2", "--seed", "3", "--iters", "20", "--restarts", "1"])
+        assert rc == EXIT_OK
+        report_path = out / "report.json"
+        wb = tmp_path / "wb.json"
+        rc = main(["check-wb", "--model", str(report_path), "--output", str(wb)])
+        assert rc == EXIT_OK
+        report = json.loads(report_path.read_text())
+        assert set(report["wb"]) == {"is_wb", "best_eps", "total_mass", "witness"}
+        payload = json.loads(wb.read_text())
+        assert payload["is_wb"] == report["wb"]["is_wb"]
+        assert payload["best_eps"] == report["wb"]["best_eps"]
+        rc = main(["sample", "--model", str(report_path), "--N", "5", "--output",
+                   str(tmp_path / "x.csv")])
+        assert rc == EXIT_OK
+
+
 class TestValidateCmd:
     def test_pvalues_and_summary(self, tmp_path):
         model_path = tmp_path / "model.json"

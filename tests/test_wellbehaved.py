@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracle_helpers import enumerated_best_eps
 from thorin.ggc import GgcModel, concatenate, model_coeffs
 from thorin.laguerre import CoeffTensor
 from thorin.wellbehaved import (
     HalfPlaneImage,
-    _best_eps_general,
     _interval_eps_1d,
+    _subset_eps,
     best_eps,
     classify_dependence,
     decay_check,
@@ -24,6 +25,29 @@ def random_univariate(rng, wb=False):
     if wb:
         alpha *= (1.2 + rng.uniform(0, 2)) / alpha.sum()
     scales = rng.uniform(0.05, 6.0, (n, 1))
+    return GgcModel(alpha, scales)
+
+
+def structured_multivariate(rng):
+    """d in {2, 3}, up to 10 atoms, mixing the degenerate geometries the
+    majority search must get right: several atoms on one affine
+    hyperplane, shared rays (exact power-of-two multiples, duplicates
+    included), zero entries, and geometric or uniform masses."""
+    d = int(rng.integers(2, 4))
+    n = int(rng.integers(1, 11))
+    scales = rng.uniform(0.05, 3.0, (n, d))
+    if rng.random() < 0.4:
+        t = rng.uniform(0.2, 2.0, d)
+        on = rng.random(n) < 0.6
+        scales[on] /= (scales[on] @ t)[:, None]
+    if rng.random() < 0.4:
+        share = rng.random(n) < 0.5
+        scales[share] = scales[0] * rng.choice([0.5, 1.0, 2.0, 4.0], size=(int(share.sum()), 1))
+    if rng.random() < 0.3:
+        zero = rng.random((n, d)) < 0.4
+        zero[np.arange(n), rng.integers(0, d, n)] = False
+        scales[zero] = 0.0
+    alpha = 3.0 * 0.7 ** np.arange(n) if rng.random() < 0.3 else rng.uniform(0.2, 2.0, n)
     return GgcModel(alpha, scales)
 
 
@@ -145,21 +169,53 @@ class TestBestEps:
         assert rep.best_eps == pytest.approx(2.0, rel=1e-10)
 
     def test_univariate_machinery_matches_interval(self):
+        # in one dimension every atom contributes the pole t = 1/s_i,
+        # whatever its mass
         rng = np.random.default_rng(4)
         for _ in range(200):
             m = random_univariate(rng)
             interval = _interval_eps_1d(m.scales)
-            general, _ = _best_eps_general(m, include_atoms=True)
+            poles = min(_subset_eps(np.array([1.0 / s])) for s in m.scales[:, 0])
             if math.isinf(interval):
-                assert math.isinf(general)
+                assert math.isinf(poles)
             else:
-                assert general == pytest.approx(interval, rel=1e-12)
+                assert poles == pytest.approx(interval, rel=1e-12)
 
-    def test_undecided_above_cap(self):
+    def test_shared_ray_decided_without_atom_cap(self):
+        # 23 atoms on the ray (1, 1): one rank-deficient majority
         n = 23
         m = GgcModel(np.ones(n), np.ones((n, 2)) + np.arange(n)[:, None] * 0.1)
         rep = best_eps(m)
-        assert rep.undecided and not rep.is_wb
+        assert not rep.is_wb and rep.best_eps == 0.0
+        assert "rank-deficient" in rep.witness
+
+    def test_many_atoms_decided(self):
+        rng = np.random.default_rng(8)
+        scales = rng.uniform(0.05, 3.0, (60, 2))
+        # uniform masses: no line through atoms carries a majority
+        rep = best_eps(GgcModel(rng.uniform(0.2, 1.0, 60), scales))
+        assert rep.is_wb is True and rep.best_eps == math.inf
+        # geometric masses: the first two atoms alone are a majority
+        rep = best_eps(GgcModel(3.0 * 0.7 ** np.arange(60), scales))
+        assert rep.is_wb is True
+        t = np.linalg.solve(scales[:2], np.ones(2))
+        assert rep.best_eps == pytest.approx(_subset_eps(t), rel=1e-12)
+
+    def test_matches_subset_enumeration(self):
+        rng = np.random.default_rng(11)
+        kinds = {"not-wb": 0, "finite": 0, "inf": 0}
+        for _ in range(300):
+            m = structured_multivariate(rng)
+            expected = enumerated_best_eps(m)
+            rep = best_eps(m)
+            assert rep.is_wb == (expected > 0)
+            if math.isfinite(expected):
+                assert rep.best_eps == pytest.approx(expected, rel=1e-12, abs=0.0)
+            else:
+                assert rep.best_eps == math.inf
+            kind = "inf" if math.isinf(expected) else ("finite" if expected > 0 else "not-wb")
+            kinds[kind] += 1
+        assert min(kinds.values()) >= 30, kinds
 
     def test_near_collinear_gray_zone(self):
         m = GgcModel([1.0, 1.0], [[1.0, 2.0], [2.0, 4.0 + 1e-25]])
