@@ -10,8 +10,6 @@ from .numkit import (
     COEFF_DEFAULT,
     iterate_box,
     binom_prod,
-    lambert_w0,
-    log_gamma,
 )
 from .laguerre import (
     CoeffTensor,

@@ -166,7 +166,7 @@ def _merged(args, keys):
 
 def _fit_config(args, d_hint=None) -> FitConfig:
     vals = _merged(
-        args, ["n", "m", "swarm", "iters", "restarts", "seed", "bits", "floor"]
+        args, ["n", "m", "swarm", "iters", "restarts", "seed", "bits"]
     )
     if "n" not in vals:
         raise ConfigError("--n is required")
@@ -186,7 +186,6 @@ def _fit_config(args, d_hint=None) -> FitConfig:
             seed=int(vals.get("seed", 0)),
             precision_bits=int(vals.get("bits", 256)),
             restarts=int(vals.get("restarts", 3)),
-            param_floor=float(vals.get("floor", 1e-12)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -335,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--swarm", type=int, default=None)
             p.add_argument("--iters", type=int, default=None)
             p.add_argument("--restarts", type=int, default=None)
-            p.add_argument("--floor", type=float, default=None)
 
     p = sub.add_parser("fit", help="fit a model to CSV observations")
     common(p, fit=True)

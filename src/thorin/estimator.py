@@ -14,6 +14,7 @@ kernel, :func:`thorin.ggc.batch_coeffs`.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -48,6 +49,8 @@ _LOGSHAPE_RANGE = (math.log(1e-2), math.log(1e2))
 _SMAG_RANGE = (math.log(1e-3), math.log(1e3))
 _LOGIT_RANGE = (-18.0, 0.0)
 _ZERO_SCALE_TOL = 1e-10
+_SHAPE_FLOOR = 1e-12
+_SPLIT = ((0, 1), (1, 10), (10, mpmath.inf))
 
 
 def default_box(n: int, d: int) -> Tuple[int, ...]:
@@ -61,8 +64,7 @@ class FitConfig:
     """Search configuration.
 
     ``m`` defaults per :func:`default_box`; ``swarm_size`` defaults to 20
-    particles per free parameter.  ``param_floor`` is the smallest shape
-    a decoded particle may carry.
+    particles per free parameter.
     """
 
     n: int
@@ -72,7 +74,6 @@ class FitConfig:
     seed: int = 0
     precision_bits: int = 256
     restarts: int = 3
-    param_floor: float = 1e-12
 
     def __post_init__(self):
         if self.n < 1:
@@ -85,15 +86,12 @@ class FitConfig:
             raise ValueError("swarm_size must be >= 10")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if not self.param_floor > 0:
-            raise ValueError("param_floor must be positive")
 
     def resolved(self, d: int) -> "FitConfig":
         m = self.m if self.m is not None else default_box(self.n, d)
         swarm = self.swarm_size or 20 * self.n * (d + 2)
         return FitConfig(
-            self.n, m, swarm, self.max_iters, self.seed,
-            self.precision_bits, self.restarts, self.param_floor,
+            self.n, m, swarm, self.max_iters, self.seed, self.precision_bits, self.restarts
         )
 
 
@@ -144,17 +142,17 @@ class QuadratureError(RuntimeError):
         self.achieved_tol = achieved_tol
 
 
-def _decode(params: np.ndarray, n: int, d: int, floor: float):
+def _decode(params: np.ndarray, n: int, d: int):
     """Particle positions to (shapes, simplex coordinates).
 
     The simplex coordinates are ``P x n x (d+1)``: the simplex scales
     followed by the residual.  The residual logit is kept within exp(-28)
     of the row maximum so the residual stays positive; this bounds the
     searchable scale magnitudes near 1e12, the scale-side analog of the
-    shape floor.
+    shape floor ``_SHAPE_FLOOR``.
     """
     P = params.shape[0]
-    alpha = np.maximum(np.exp(np.minimum(params[:, :n], 50.0)), floor)
+    alpha = np.maximum(np.exp(np.minimum(params[:, :n], 50.0)), _SHAPE_FLOOR)
     z = params[:, n:].reshape(P, n, d + 1)
     z = z - z.max(axis=2, keepdims=True)
     z[:, :, d] = np.maximum(z[:, :, d], -28.0)
@@ -223,7 +221,7 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
     vmax = 0.5 * (hi - lo)
 
     def losses(p):
-        alpha, simplex = _decode(p, n, d, cfg.param_floor)
+        alpha, simplex = _decode(p, n, d)
         with np.errstate(invalid="ignore", over="ignore"):
             a = batch_coeffs(alpha, simplex, m)
             val = ((a - target_flat[None, :]) ** 2).sum(axis=1)
@@ -280,7 +278,7 @@ def _run_swarm(
         if best is None or gloss < best[1]:
             best = (gpos, gloss, converged)
     gpos, _, converged = best
-    alpha, simplex = _decode(gpos[None, :], cfg.n, d, cfg.param_floor)
+    alpha, simplex = _decode(gpos[None, :], cfg.n, d)
     model = _fitted_model(alpha[0], simplex[0])
     loss = loss_Lm(target, model, cfg.m)
     return FitReport(
@@ -341,39 +339,41 @@ def theoretical_moments(
     density: Callable, m: Sequence[int], ctx: PrecisionContext = COEFF_DEFAULT
 ) -> np.ndarray:
     """Shifted moments ``mu_k = int x^k e^{-|x|} f(x) dx`` over the box,
-    by adaptive quadrature at the context precision.
+    by one tanh-sinh quadrature of the whole box at the context precision.
 
-    ``density`` maps ``d`` scalar arguments (mpf) to the density value;
-    supported for ``d <= 2``.  The relative tolerance target is
-    ``10^(-bits/8)``; failure raises :class:`QuadratureError` carrying
-    the achieved tolerance.
+    ``density`` maps ``d <= 2`` scalar arguments (mpf) to its value and is
+    evaluated once per node of ``[0,1], [1,10], [10,inf]`` (per tensor-grid
+    node when ``d = 2``); ``w e^{-|x|} f(x)`` feeds every moment.  The
+    relative tolerance target is ``10^(-bits/8)``; failure raises
+    :class:`QuadratureError` carrying the worst achieved tolerance.
     """
     m = tuple(int(v) for v in m)
     d = len(m)
     if d > 2:
         raise ValueError("quadrature mode supports d <= 2")
     tol = mpf(10) ** (-(ctx.bits // 8))
-    out = np.empty(box_shape(m), dtype=object)
+    rule = mpmath.calculus.quadrature.TanhSinh(mpmath.mp)
+    total, seen, estimates = np.zeros(box_shape(m), dtype=object), [], []
     with ctx.workprec():
-        split = [0, 1, 10, mpmath.inf]
-        for k in np.ndindex(*box_shape(m)):
-            if d == 1:
-                f = lambda x, _k=k: x ** _k[0] * mpmath.exp(-x) * density(x)
-                val, err = mpmath.quad(f, split, error=True, maxdegree=10)
-            else:
-                f = (
-                    lambda x, y, _k=k: x ** _k[0]
-                    * y ** _k[1]
-                    * mpmath.exp(-x - y)
-                    * density(x, y)
-                )
-                val, err = mpmath.quad(f, split, split, error=True, maxdegree=7)
-            scale = abs(val) if val != 0 else mpf(1)
-            if err > tol * scale:
-                raise QuadratureError(
-                    f"moment quadrature at k={k} reached relative tolerance "
-                    f"{mpmath.nstr(err / scale, 5)} (requested {mpmath.nstr(tol, 5)})",
-                    float(err / scale),
-                )
-            out[k] = val
-    return out
+        for level in range(1, (10 if d == 1 else 7) + 1):
+            fresh = [(x, w * mpmath.exp(-x)) for a, b in _SPLIT
+                     for x, w in rule.get_nodes(a, b, level, ctx.bits)]
+            for j in range(d):  # grid points new at this level, by first new axis
+                for point in itertools.product(*[seen] * j, fresh, *[seen + fresh] * (d - 1 - j)):
+                    g = density(*(x for x, _ in point))
+                    for (x, wx), mi in zip(point, m):
+                        g = np.multiply.outer(g, np.multiply.accumulate([wx] + [x] * mi))
+                    total += g
+            seen += fresh
+            estimates = (estimates + [total * mpf(2) ** (-level * d)])[-3:]
+            if level > 1:
+                err, k = max(
+                    (rule.estimate_error([e[k] for e in estimates], ctx.bits, tol)
+                     / (abs(estimates[-1][k]) or 1), k) for k in np.ndindex(total.shape))
+                if err <= tol:
+                    return estimates[-1]
+    raise QuadratureError(
+        f"moment quadrature at k={k} reached relative tolerance "
+        f"{mpmath.nstr(err, 5)} (requested {mpmath.nstr(tol, 5)})",
+        float(err),
+    )

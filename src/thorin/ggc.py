@@ -25,18 +25,16 @@ from typing import Sequence, Tuple
 import mpmath
 import numpy as np
 from mpmath import mpf
+from scipy.special import lambertw
 
 from .laguerre import CoeffTensor, coeffs_from_moments
 from .numkit import (
     COEFF_DEFAULT,
-    DOUBLE,
     MultiIndex,
     PrecisionContext,
     binom_prod,
     box_shape,
     iterate_box,
-    lambert_w0,
-    log_gamma,
 )
 
 __all__ = [
@@ -361,9 +359,7 @@ def float_coeffs(model: GgcModel, m: Sequence[int]) -> CoeffTensor:
     return CoeffTensor(m, a.reshape(box_shape(m)))
 
 
-def gd1_coeffs(
-    alpha: float, s: Sequence[float], m: Sequence[int], ctx: PrecisionContext = DOUBLE
-) -> CoeffTensor:
+def gd1_coeffs(alpha: float, s: Sequence[float], m: Sequence[int]) -> CoeffTensor:
     """Closed-form coefficients of the single-atom model:
 
     ``a_k = sqrt(2)^d sum_{l <= k} C(k,l) (-2s)^l / l!
@@ -379,14 +375,14 @@ def gd1_coeffs(
     if s.size != d:
         raise ValueError("scale vector dimension must match the box")
     S = float(s.sum())
-    lg_alpha = log_gamma(alpha, ctx)
+    lg_alpha = math.lgamma(alpha)
     out = np.zeros(box_shape(m))
     for k in iterate_box(m):
         acc = 0.0
         for l in iterate_box(k):
             L = sum(l)
             t = binom_prod(k, l) * math.exp(
-                float(log_gamma(alpha + L, ctx)) - float(lg_alpha) - (alpha + L) * math.log1p(S)
+                math.lgamma(alpha + L) - lg_alpha - (alpha + L) * math.log1p(S)
             )
             for li, si in zip(l, s):
                 t *= (-2.0 * si) ** li / math.factorial(li)
@@ -403,8 +399,9 @@ def gd1_invert(a0: float, a1: Sequence[float]) -> Tuple[float, np.ndarray]:
     ``c2 = d/2 - sum_i a_{e_i} / (2 a_0)``, the shape solves
     ``alpha = 1/c2 - W0((ln c1 / c2) e^{ln c1 / c2}) / ln c1``; the ratios
     ``(a_0 - a_{e_i}) / (2 alpha a_0)`` are the simplex scales, inverted
-    back to raw scales.  A safeguarded Newton polish removes the
-    conditioning loss of the Lambert step near its branch point.
+    back to raw scales.  scipy's Lambert W seeds a safeguarded Newton
+    polish, which sets the answer and removes the conditioning loss of
+    the Lambert step near its branch point.
     """
     a1 = np.atleast_1d(np.asarray(a1, dtype=float))
     d = a1.size
@@ -416,7 +413,7 @@ def gd1_invert(a0: float, a1: Sequence[float]) -> Tuple[float, np.ndarray]:
         raise ValueError("inversion failure: coefficients outside the model image")
     lc = math.log(c1)
     z = lc / c2
-    w = float(lambert_w0(z * math.exp(z)))
+    w = float(lambertw(z * math.exp(z)).real)
     alpha = 1.0 / c2 - w / lc
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValueError("inversion failure: non-finite shape")

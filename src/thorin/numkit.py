@@ -1,5 +1,5 @@
-"""Foundational numerics: configurable extended-precision arithmetic,
-special functions and multi-index iteration shared by the other modules.
+"""Foundational numerics: configurable extended-precision arithmetic and
+multi-index iteration shared by the other modules.
 
 Extended precision is a runtime parameter carried by a
 :class:`PrecisionContext`.  All heavy coefficient work defaults to 256
@@ -29,8 +29,6 @@ __all__ = [
     "box_shape",
     "box_size",
     "binom_prod",
-    "lambert_w0",
-    "log_gamma",
 ]
 
 
@@ -122,66 +120,3 @@ def binom_prod(x: Sequence[int], y: Sequence[int]) -> int:
             return 0
         out *= math.comb(a, b)
     return out
-
-
-_INV_E = -0.3678794411714423216
-
-
-def _w0_seed(x: float) -> float:
-    # series near the branch point, else log asymptotics / rational fit
-    if x < -0.25:
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
-    if x < 2.0:
-        # w e^w = x  =>  w ~ x(1 - x + 1.5x^2) for small x; fine as a seed
-        return x * (1.0 - x + 1.5 * x * x) if abs(x) < 0.5 else 0.5 * math.log1p(x)
-    l1 = math.log(x)
-    l2 = math.log(l1)
-    return l1 - l2 + l2 / l1
-
-
-def lambert_w0(x, ctx: PrecisionContext = DOUBLE):
-    """Principal branch of the Lambert W function, ``w e^w = x``.
-
-    Halley iteration from a series/asymptotic seed; converges cubically
-    to ulp-level residual at the context precision.  Domain ``x >= -1/e``.
-    Returns a float for the 53-bit context, an mpf otherwise.
-    """
-    xf = float(x)
-    if xf < _INV_E and not math.isclose(xf, _INV_E, rel_tol=4e-16):
-        raise ValueError(f"lambert_w0 domain is x >= -1/e, got {x}")
-    if xf == 0.0:
-        return 0.0 if ctx.bits == 53 else ctx.mpf(0)
-    with ctx.workprec():
-        w = mpf(_w0_seed(xf))
-        xm = mpf(x)
-        if xm < mpf(-1) / mpmath.e:
-            xm = mpf(-1) / mpmath.e  # clip rounding spill below the branch point
-        tol = mpf(2) ** (2 - ctx.bits)
-        for _ in range(120):
-            ew = mpmath.exp(w)
-            f = w * ew - xm
-            if f == 0:
-                break
-            wp1 = w + 1
-            # Halley step
-            dw = f / (ew * wp1 - (w + 2) * f / (2 * wp1))
-            w -= dw
-            if abs(dw) <= tol * (1 + abs(w)):
-                ew = mpmath.exp(w)
-                dw = (w * ew - xm) / (ew * (w + 1))
-                w -= dw  # final Newton polish
-                break
-        if w < -1:
-            w = mpf(-1)
-        return float(w) if ctx.bits == 53 else w
-
-
-def log_gamma(x, ctx: PrecisionContext = DOUBLE):
-    """``ln Gamma(x)`` for ``x > 0`` at the context precision."""
-    if float(x) <= 0.0:
-        raise ValueError(f"log_gamma domain is x > 0, got {x}")
-    if ctx.bits == 53:
-        return math.lgamma(float(x))
-    with ctx.workprec():
-        return mpmath.loggamma(ctx.mpf(x))

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from thorin.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from thorin.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from thorin.ggc import GgcModel, sample
 from thorin.laguerre import CoeffTensor
 
@@ -258,6 +258,24 @@ class TestProject:
         assert rc == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert any("outside L2" in note for note in report["notes"])
+
+    def test_bivariate_projection(self, tmp_path):
+        out = tmp_path / "proj3"
+        rc = main(
+            ["project", "--density", "mln_gaussian", "--n", "1", "--bits", "64",
+             "--seed", "1", "--iters", "50", "--restarts", "1", "--output", str(out)]
+        )
+        assert rc == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert np.isfinite(report["loss"])
+        assert np.asarray(report["model"]["scales"]).shape[1] == 2
+
+    def test_unresolved_quadrature_is_numeric_failure(self, tmp_path):
+        rc = main(
+            ["project", "--density", "pareto", "--params", "k=2.5,xm=2", "--n", "1",
+             "--m", "1", "--bits", "64", "--output", str(tmp_path / "p")]
+        )
+        assert rc == EXIT_NUMERIC
 
     def test_clayton_has_no_formal_density(self, tmp_path):
         rc = main(

@@ -37,8 +37,6 @@ class TestFitConfig:
             FitConfig(n=0)
         with pytest.raises(ValueError):
             FitConfig(n=1, swarm_size=5)
-        with pytest.raises(ValueError):
-            FitConfig(n=1, param_floor=0.0)
 
 
 class TestLoss:
@@ -97,7 +95,7 @@ class TestDecode:
         rng = np.random.default_rng(1)
         for n, d in [(1, 1), (3, 2), (5, 3)]:
             params = rng.normal(scale=8.0, size=(200, n * (d + 2)))
-            alpha, simplex = _decode(params, n, d, 1e-12)
+            alpha, simplex = _decode(params, n, d)
             x, rho = simplex[:, :, :d], simplex[:, :, d]
             assert np.all(alpha >= 1e-12)
             assert np.all(x >= 0.0)
@@ -220,10 +218,14 @@ class TestTheoreticalMoments:
         assert float(mu[(2,)]) == pytest.approx(0.25, rel=1e-25)
 
     def test_gamma_first_moment(self):
+        # mu_k = int x^{k+1} e^{-2x} dx = Gamma(k+2) / 2^{k+2}
         mu = theoretical_moments(
-            lambda x: x * mpmath.exp(-x), (1,), PrecisionContext(128)
+            lambda x: x * mpmath.exp(-x), (6,), PrecisionContext(128)
         )
-        assert float(mu[(1,)]) == pytest.approx(0.25, rel=1e-25)
+        for k in range(7):
+            assert float(mu[(k,)]) == pytest.approx(
+                math.gamma(k + 2) / 2.0 ** (k + 2), rel=1e-25
+            )
 
     def test_bivariate_product_density(self):
         # independent unit exponentials factorize: mu_k = prod 1/2, 1/4
@@ -240,3 +242,32 @@ class TestTheoreticalMoments:
     def test_error_carries_achieved_tolerance(self):
         err = QuadratureError("failed", 1e-3)
         assert err.achieved_tol == 1e-3
+
+    @pytest.mark.parametrize(
+        "m, bits, density",
+        [
+            ((6,), 128, lambda x: mpmath.exp(-x)),
+            ((1, 1), 64, lambda x, y: mpmath.exp(-x - 2 * y)),
+        ],
+        ids=["univariate", "bivariate"],
+    )
+    def test_one_density_evaluation_per_node(self, m, bits, density):
+        calls = []
+
+        def recorder(*args):
+            calls.append(args)
+            return density(*args)
+
+        theoretical_moments(recorder, m, PrecisionContext(bits))
+        assert len(calls) > 0
+        assert len(set(calls)) == len(calls)
+
+    def test_unresolved_jump_raises_with_achieved_tolerance(self):
+        # the Pareto density jumps at xm = 2, which is not a split point
+        from thorin.validate import bench_density_mp
+
+        with pytest.raises(QuadratureError) as info:
+            theoretical_moments(
+                bench_density_mp("pareto", {"k": 2.5, "xm": 2.0}), (1,), PrecisionContext(64)
+            )
+        assert info.value.achieved_tol > 1e-8

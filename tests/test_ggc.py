@@ -357,7 +357,7 @@ class TestBatchCoeffs:
         uniform = rng.uniform(-18.0, 0.0, size=(P, n * (d + 2)))
         uniform[:, :n] = rng.uniform(math.log(1e-2), math.log(1e2), size=(P, n))
         for params in (init, uniform):
-            alpha, simplex = _decode(params, n, d, 1e-12)
+            alpha, simplex = _decode(params, n, d)
             assert self.max_error(alpha, simplex, m) <= 1e-13
 
     @pytest.mark.parametrize("m", [(60,), (6, 6)])

@@ -13,8 +13,6 @@ from thorin.numkit import (
     binom_prod,
     box_size,
     iterate_box,
-    lambert_w0,
-    log_gamma,
 )
 
 
@@ -79,85 +77,6 @@ class TestBinomProd:
         for a, b in zip(x, y):
             expected *= math.comb(a, b) if b <= a else 0
         assert binom_prod(x, y) == expected
-
-
-class TestLambertW0:
-    def test_fixed_points(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-15)
-
-    def test_unit_argument_bisection_oracle(self):
-        # independent oracle: bisect w e^w - 1 on [0, 1]
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid * math.exp(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        w = lambert_w0(1.0)
-        assert w == pytest.approx(0.5 * (lo + hi), abs=1e-14)
-        assert w == pytest.approx(0.567143290409, abs=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            lambert_w0(-0.5)
-
-    def test_round_trip_random(self):
-        # relative residual within 1e-(digits-2); the forward map w e^w
-        # amplifies any representable w by about |x|, so the bound is
-        # scale-aware
-        rng = np.random.default_rng(7)
-        xs = np.concatenate(
-            [
-                rng.uniform(-1 / math.e, 2, 500),
-                np.exp(rng.uniform(0, math.log(1e3), 500)),
-            ]
-        )
-        tol = 10.0 ** (-(DOUBLE.digits - 2))
-        for x in xs:
-            w = lambert_w0(float(x))
-            assert w >= -1.0
-            with mpmath.workprec(200):
-                resid = abs(mpmath.mpf(w) * mpmath.exp(mpmath.mpf(w)) - mpmath.mpf(float(x)))
-            assert float(resid) <= tol * max(1.0, abs(float(x)))
-
-    def test_high_precision_round_trip(self):
-        ctx = PrecisionContext(512)
-        for x in ("0.25", "1", "100.5", "-0.2"):
-            with mpmath.workprec(512):
-                xm = mpmath.mpf(x)
-                w = lambert_w0(xm, ctx)
-                resid = abs(w * mpmath.exp(w) - xm)
-                assert resid < mpmath.mpf(2) ** (-500) * max(1, abs(xm))
-
-    def test_branch_point(self):
-        w = lambert_w0(-1 / math.e)
-        assert w == pytest.approx(-1.0, abs=1e-7)
-
-
-class TestLogGamma:
-    def test_integers(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-
-    def test_half_against_quadrature(self):
-        # Gamma(1/2) = int t^{-1/2} e^{-t} dt = 2 int e^{-u^2} du after
-        # t = u^2, which removes the endpoint singularity
-        with mpmath.workprec(128):
-            val = 2 * mpmath.quad(
-                lambda u: mpmath.exp(-u * u), [0, 1, mpmath.inf], maxdegree=8
-            )
-            expected = mpmath.log(val)
-            got = log_gamma(0.5, PrecisionContext(128))
-            assert abs(got - expected) < mpmath.mpf(10) ** -30
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.5)
 
 
 class TestPrecisionContext:
