@@ -16,8 +16,7 @@ from typing import Callable
 import mpmath
 import numpy as np
 from mpmath import mpf
-from scipy.special import ndtr, ndtri
-from scipy.stats import kstwo
+from scipy.special import gammaln, ndtr, ndtri, rgamma
 
 from .ggc import GgcModel, sample
 
@@ -69,13 +68,123 @@ def kolmogorov_sf(lam: float) -> float:
     return min(max(2.0 * total, 0.0), 1.0)
 
 
+def _log_nfact_over_nn(n: int) -> float:
+    return math.lgamma(n + 1) - n * math.log(n)
+
+
+def _renormalized(A, e: int):
+    _, x = math.frexp(np.abs(A).max())
+    return np.ldexp(A, -x), e + x
+
+
+def _durbin_cdf(n: int, d: float) -> float:
+    """``P(D_n < d)`` from Durbin's matrix in the Marsaglia-Tsang-Wang
+    form: ``n!/n^n`` times the central entry of ``H^n``, with ``H`` of
+    order ``2k - 1`` for ``k = ceil(n d)``."""
+    k = math.ceil(n * d)
+    h = k - n * d
+    m = 2 * k - 1
+    j = np.arange(1, m + 1)
+    H = rgamma(j[:, None] - j[None, :] + 2.0)  # 1/(i-j+1)!, 0 above the subdiagonal
+    v = (1.0 - h**j) * rgamma(j + 1.0)
+    H[:, 0] = v
+    H[-1, :] = v[::-1]
+    H[-1, 0] = (1.0 - 2.0 * h**m + max(2.0 * h - 1.0, 0.0) ** m) * rgamma(m + 1.0)
+    # H^n by squaring; each matrix carries a power-of-two exponent so
+    # that its entries stay near 1
+    P, e, Q, eq, r = np.eye(m), 0, H, 0, n
+    while True:
+        if r & 1:
+            P, e = _renormalized(P @ Q, e + eq)
+        r >>= 1
+        if not r:
+            break
+        Q, eq = _renormalized(Q @ Q, 2 * eq)
+    return math.exp(math.log(P[k - 1, k - 1]) + e * math.log(2.0) + _log_nfact_over_nn(n))
+
+
+def _pelz_good_cdf(n: int, d: float) -> float:
+    """``P(D_n < d)`` from the Pelz-Good (1976) expansion
+    ``K0 + K1/sqrt(n) + K2/n + K3/n^1.5`` in ``z = d sqrt(n)``."""
+    z = d * math.sqrt(n)
+    z2 = z * z
+    pi2 = math.pi**2
+    kk = np.arange(1, math.ceil(16.0 * z / math.pi) + 1, dtype=float)
+    m2 = (2.0 * kk - 1.0) ** 2
+    odd = np.exp(-pi2 * m2 / (8.0 * z2))
+    even = kk**2 * np.exp(-pi2 * kk**2 / (2.0 * z2))
+    s0 = odd.sum()
+    s1 = ((pi2 * m2 / 4.0 - z2) * odd).sum()
+    s2 = ((6 * z2**3 + 2 * z2**2 + (2 * z2**2 - 5 * z2) * pi2 * m2 / 4.0
+           + pi2**2 * (1 - 2 * z2) * m2**2 / 16.0) * odd).sum()
+    s3 = ((-30 * z2**3 - 90 * z2**4 + pi2 * (135 * z2**2 - 96 * z2**3) * m2 / 4.0
+           + pi2**2 * (212 * z2**2 - 60 * z2) * m2**2 / 16.0
+           + pi2**3 * (5 - 30 * z2) * m2**3 / 64.0) * odd).sum()
+    r2p = math.sqrt(2.0 * math.pi)
+    k0 = r2p * s0 / z
+    k1 = r2p * s1 / (6.0 * z**4)
+    k2 = r2p * (s2 / (72.0 * z**7) - pi2 * even.sum() / (36.0 * z**3))
+    k3 = r2p * (s3 / (6480.0 * z**10)
+                + pi2 * ((3 * z2 - pi2 * kk**2) * even).sum() / (216.0 * z**6))
+    return k0 + k1 / math.sqrt(n) + k2 / n + k3 / n**1.5
+
+
+def _smirnov_sf(n: int, d: float) -> float:
+    """One-sided ``P(D_n^+ >= d)`` by the Birnbaum-Tingey sum
+    ``d sum_j C(n, j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1)``, every term
+    formed in logs."""
+    j = np.arange(math.floor(n * (1.0 - d)) + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_terms = (
+            gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+            + (n - j) * np.log(np.maximum((n - j) / n - d, 0.0))
+            + (j - 1.0) * np.log(d + j / n)
+        )
+    return d * float(np.exp(log_terms).sum())
+
+
+def _ks_sf(n: int, d: float) -> float:
+    """Exact ``P(D_n >= d)`` of the two-sided one-sample statistic, each
+    region by the method Simard & L'Ecuyer (2011) assign to it."""
+    t = n * d
+    if t <= 0.5:
+        return 1.0
+    if d >= 1.0:
+        return 0.0
+    if t <= 1.0:  # Ruben-Gambino: P(D_n < d) = n!/n^n (2t - 1)^n
+        return -math.expm1(_log_nfact_over_nn(n) + n * math.log(2.0 * t - 1.0))
+    if t >= n - 1:  # Ruben-Gambino
+        return 2.0 * (1.0 - d) ** n
+    nd2 = t * d
+    if n > 140 and nd2 >= 370.0:
+        return 0.0
+    # the two one-sided tails cannot both be crossed when d >= 1/2, and
+    # their overlap is negligible beyond these n d^2
+    if d >= 0.5 or (nd2 > 4.0 if n <= 140 else nd2 >= 2.2):
+        return min(2.0 * _smirnov_sf(n, d), 1.0)
+    if n <= 140 or n * d**1.5 <= 1.4:
+        return 1.0 - _durbin_cdf(n, d)
+    return 1.0 - _pelz_good_cdf(n, d)
+
+
 def ks_exact(samples, cdf: Callable) -> KsResult:
     """One-sample two-sided Kolmogorov-Smirnov test.
 
-    ``D`` comes from the order statistics; the p-value uses the exact
-    finite-sample distribution up to N = 10^4 and a finite-N-corrected
-    Kolmogorov series above (the correction keeps the two branches
-    within ~1e-6 of each other at the switch point).
+    ``D`` comes from the order statistics. Up to N = 10^4 the p-value is
+    the exact finite-sample tail ``_ks_sf``, with the region choice of
+    Simard & L'Ecuyer (2011, J. Stat. Softw. 39(11)):
+
+    - Ruben & Gambino's (1982) closed forms for ``N D <= 1`` and
+      ``N D >= N - 1``;
+    - Durbin's (1968) matrix in the form of Marsaglia, Tsang & Wang
+      (2003, J. Stat. Softw. 8(18)) for small ``N D^2``;
+    - the Pelz & Good (1976) expansion in the middle for N > 140;
+    - twice the one-sided Smirnov tail, by the Birnbaum & Tingey (1951)
+      sum, in the upper tail.
+
+    Above N = 10^4 it is a finite-N-corrected Kolmogorov series (the
+    correction keeps the two branches within ~1e-6 of each other at the
+    switch point).
     """
     xs = np.sort(np.asarray(samples, dtype=float).ravel())
     N = xs.size
@@ -84,7 +193,7 @@ def ks_exact(samples, cdf: Callable) -> KsResult:
     D = float(max((steps - F).max(), (F - steps + 1.0 / N).max()))
     D = min(max(D, 0.0), 1.0)
     if N <= _EXACT_N_MAX:
-        p = float(kstwo.sf(D, N))
+        p = _ks_sf(N, D)
     else:
         rtn = math.sqrt(N)
         lam = D * rtn + 1.0 / (6.0 * rtn) + (D * rtn - 1.0) / (4.0 * N)
@@ -208,6 +317,20 @@ def bench_quantile(name: str, params: dict) -> Callable:
     raise ValueError(f"no univariate quantile for benchmark {name!r}")
 
 
+def _per_prec(make: Callable) -> Callable:
+    """``make()`` evaluated once per working precision: a density's
+    closure is built at 53 bits but called inside ``workprec``."""
+    cache = {}
+
+    def get():
+        prec = mpmath.mp.prec
+        if prec not in cache:
+            cache[prec] = make()
+        return cache[prec]
+
+    return get
+
+
 def bench_density_mp(name: str, params: dict) -> Callable:
     """Arbitrary-precision density of a benchmark, for the projection
     path (the integrand must follow the working precision)."""
@@ -215,11 +338,13 @@ def bench_density_mp(name: str, params: dict) -> Callable:
     if name == "lognormal":
         mu, sigma = mpf(p.get("mu", 0.0)), mpf(p.get("sigma", 0.83))
 
+        norm = _per_prec(lambda: sigma * mpmath.sqrt(2 * mpmath.pi))
+
         def ln_pdf(x):
             if x <= 0:
                 return mpf(0)
             z = (mpmath.log(x) - mu) / sigma
-            return mpmath.exp(-z * z / 2) / (x * sigma * mpmath.sqrt(2 * mpmath.pi))
+            return mpmath.exp(-z * z / 2) / (x * norm())
 
         return ln_pdf
     if name == "weibull":
@@ -247,14 +372,18 @@ def bench_density_mp(name: str, params: dict) -> Callable:
             mpf(p.get("rho", 0.5)),
         )
 
+        consts = _per_prec(lambda: (
+            1 - rho * rho, 2 * mpmath.pi * sigma * sigma * mpmath.sqrt(1 - rho * rho)
+        ))
+
         def mln_pdf(x, y):
             if x <= 0 or y <= 0:
                 return mpf(0)
+            one_m_rho2, norm = consts()
             u = (mpmath.log(x) - mu) / sigma
             v = (mpmath.log(y) - mu) / sigma
-            q = (u * u - 2 * rho * u * v + v * v) / (1 - rho * rho)
-            norm = 2 * mpmath.pi * sigma * sigma * mpmath.sqrt(1 - rho * rho) * x * y
-            return mpmath.exp(-q / 2) / norm
+            q = (u * u - 2 * rho * u * v + v * v) / one_m_rho2
+            return mpmath.exp(-q / 2) / (norm * x * y)
 
         return mln_pdf
     raise ValueError(f"no formal density for benchmark {name!r}")

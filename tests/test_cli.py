@@ -296,3 +296,11 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "thorin" in proc.stdout
+
+    def test_import_loads_no_heavy_scipy_module(self):
+        # start-up cost: the library needs only scipy.special
+        heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.integrate")
+        code = f"import sys, thorin.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kendalltau, kstwo, norm
 
-from thorin.ggc import GgcModel
+from thorin.ggc import GgcModel, sample
 from thorin.validate import (
+    _ks_sf,
     BENCH_NAMES,
     bench_cdf,
     bench_density_mp,
@@ -64,6 +66,39 @@ class TestKsExact:
         res = ks_exact(xs, lambda x: -np.expm1(-x))
         assert 0.0 <= res.p_value <= 1.0
         assert res.n == 20_000
+
+
+def _ks_sf_grid(n):
+    """d at every branch boundary of ``_ks_sf`` for this n, and just
+    either side of it."""
+    bounds = [0.5 / n, 1 / n, (n - 1) / n, 0.5, (1.4 / n) ** (2 / 3)]
+    bounds += [math.sqrt(c / n) for c in (0.754693, 2.2, 4.0, 18.0, 370.0)]
+    ds = [b * f for b in bounds for f in (1 - 1e-6, 1.0, 1 + 1e-6)]
+    ds += list(np.linspace(0.0, 1.0, 41))
+    return [d for d in ds if 0.0 <= d <= 1.0]
+
+
+class TestKsSf:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 140, 141, 1000, 10_000])
+    def test_matches_scipy_kstwo(self, n):
+        for d in _ks_sf_grid(n):
+            ref = float(kstwo.sf(d, n))
+            assert abs(_ks_sf(n, d) - ref) <= 1e-9 * ref + 1e-14, (n, d)
+
+    def test_resampled_pvalues_match_kstwo_loop(self):
+        # a 1.5% scale misfit puts p-values on both sides of 0.025, so
+        # the Smirnov tail and the middle branches both run
+        model = GgcModel([2.0], [[2.0]])
+        cdf = lambda x: gamma_dist.cdf(x, 2.0, scale=2.03)
+        N, B, seed = 10_000, 60, 7
+        got = resampled_pvalues(model, cdf, N, B, seed)
+        ref = []
+        for ss in np.random.SeedSequence(seed).spawn(B):
+            xs = sample(model, N, np.random.default_rng(ss)).ravel()
+            ref.append(float(kstwo.sf(ks_exact(xs, cdf).d_stat, N)))
+        ref = np.array(ref)
+        assert np.any(ref < 0.025)
+        assert np.all(np.abs(got - ref) <= 1e-9 * ref + 1e-14)
 
 
 class TestQqPoints:
@@ -190,6 +225,32 @@ class TestBenchSamplers:
             with mpmath.workprec(80):
                 total = mpmath.quad(pdf, [0, 1, 10, mpmath.inf])
                 assert abs(float(total) - 1.0) < 1e-12
+
+    def test_density_constants_follow_precision(self):
+        # each closure is called at a low precision first, so a constant
+        # it fixed then would be off at the higher one
+        refs = {
+            "lognormal": lambda x: mpmath.npdf(mpmath.log(x), 0, 0.83) / x,
+            "weibull": lambda x: 1.5 * x ** 0.5 * mpmath.exp(-(x ** 1.5)),
+            "pareto": lambda x: 2.5 / x ** 3.5,
+        }
+        for name, ref in refs.items():
+            pdf = bench_density_mp(name, {})
+            for bits in (53, 256):
+                with mpmath.workprec(bits):
+                    x = mpmath.mpf(5) / 3
+                    assert abs(pdf(x) / ref(x) - 1) <= mpmath.mpf(2) ** (8 - bits), (name, bits)
+
+        def mln_ref(x, y):
+            u, v = mpmath.log(x), mpmath.log(y)
+            q = (u * u - u * v + v * v) / mpmath.mpf(0.75)
+            return mpmath.exp(-q / 2) / (2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(0.75)) * x * y)
+
+        pdf = bench_density_mp("mln_gaussian", {})
+        for bits in (64, 512):
+            with mpmath.workprec(bits):
+                x, y = mpmath.mpf(5) / 3, mpmath.mpf(2) / 7
+                assert abs(pdf(x, y) / mln_ref(x, y) - 1) <= mpmath.mpf(2) ** (8 - bits)
 
     def test_samples_match_cdf(self):
         for name, params in [
