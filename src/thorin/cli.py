@@ -152,19 +152,19 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merged(args, keys):
-    """Config-file values overridden by explicitly passed flags."""
+    """Config-file values overridden by explicitly passed flags; the file
+    may set only those of ``keys`` that are flags of the command."""
+    keys = [k for k in keys if hasattr(args, k)]
     conf = _load_config_file(args.config) if args.config else {}
-    out = {}
-    for k in keys:
-        flag = getattr(args, k, None)
-        if flag is not None:
-            out[k] = flag
-        elif k in conf:
-            out[k] = conf[k]
+    unknown = sorted(set(conf) - set(keys))
+    if unknown:
+        raise ConfigError(f"{args.config}: {args.mode} takes no config key(s) {', '.join(unknown)}")
+    out = {k: conf[k] for k in keys if k in conf}
+    out.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
     return out
 
 
-def _fit_config(args, d_hint=None) -> FitConfig:
+def _fit_config(args) -> FitConfig:
     vals = _merged(
         args, ["n", "m", "swarm", "iters", "restarts", "seed", "bits"]
     )
@@ -324,11 +324,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="mode", required=True)
 
     def common(p, fit=False, bits=False):
-        p.add_argument("--config", help="JSON or key=value config file")
         p.add_argument("--seed", type=int, default=None)
         if bits:
             p.add_argument("--bits", type=int, default=None, help="extended precision")
         if fit:
+            p.add_argument("--config", help="JSON or key=value config file")
             p.add_argument("--n", type=int, default=None)
             p.add_argument("--m", type=str, default=None, help="comma list, e.g. 20,20")
             p.add_argument("--swarm", type=int, default=None)

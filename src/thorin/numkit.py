@@ -2,9 +2,10 @@
 multi-index iteration shared by the other modules.
 
 Extended precision is a runtime parameter carried by a
-:class:`PrecisionContext`.  All heavy coefficient work defaults to 256
-bits; Monte-Carlo paths run in native doubles where sampling noise
-dominates rounding.
+:class:`PrecisionContext`.  Only the reference coefficient chain
+(``model_coeffs``, ``thorin coeffs --bits``) and the projection moments
+use it, at 256 bits by default; fits, their reports and Monte-Carlo
+paths run in native doubles.
 """
 
 from __future__ import annotations

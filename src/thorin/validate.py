@@ -69,7 +69,13 @@ def kolmogorov_sf(lam: float) -> float:
 
 
 def _log_nfact_over_nn(n: int) -> float:
-    return math.lgamma(n + 1) - n * math.log(n)
+    """``log(n!/n^n)``; from n = 20 on by Stirling's series with ``-n``
+    subtracted last, so no two terms of size ``n ln n`` cancel."""
+    if n < 20:
+        return math.lgamma(n + 1) - n * math.log(n)
+    r2 = 1.0 / (n * n)
+    series = (1.0 / 12 - r2 * (1.0 / 360 - r2 * (1.0 / 1260 - r2 / 1680))) / n
+    return 0.5 * math.log(2.0 * math.pi * n) + series - n
 
 
 def _renormalized(A, e: int):

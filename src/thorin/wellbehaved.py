@@ -8,7 +8,10 @@ outside the unit polydisc.  The margin by which they stay outside is the
 best epsilon reported here; it controls how fast Laguerre coefficients
 can decay.  In d >= 2 the subsets are not enumerated: the search visits
 the O(n^d) subspaces and affine hyperplanes spanned by atoms, so there is
-no cap on the atom count.
+no cap on the atom count.  It runs in doubles under two rules: rows
+have rank below r when their r-th singular value is at most 1e-13 of
+the largest, and an atom lies on ``<s, t> = 1`` when its relative
+residual is at most 1e-9.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import mpmath
 import numpy as np
 
 from .ggc import GgcModel
@@ -38,6 +40,8 @@ __all__ = [
 ]
 
 _RAY_TOL = 1e-9
+_RANK_TOL = 1e-13
+_ON_TOL = 1e-9
 
 
 @dataclass
@@ -120,65 +124,33 @@ def _relative_residual(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.abs(rows @ t - 1.0) / (1.0 + np.abs(rows) @ np.abs(t))
 
 
-def _mp_rank_and_solve(rows: np.ndarray):
-    """128-bit least-squares classification for near-degenerate subsets."""
-    with mpmath.workprec(128):
-        A = mpmath.matrix(rows.tolist())
-        U, Ssv, V = mpmath.svd_r(A)
-        smax = max(Ssv[i] for i in range(Ssv.rows)) or mpmath.mpf(1)
-        rank = sum(1 for i in range(Ssv.rows) if Ssv[i] > smax * mpmath.mpf("1e-20"))
-        if rank < rows.shape[1]:
-            return rank, None, None
-        one = mpmath.matrix([[1.0]] * rows.shape[0])
-        t = mpmath.lu_solve(A.T * A, A.T * one)
-        t = np.array([float(t[i]) for i in range(t.rows)])
-        return rank, t, float(_relative_residual(rows, t).max())
+def _on_hyperplane(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Membership rule: which rows lie on ``<s, t> = 1``."""
+    return _relative_residual(rows, t) <= _ON_TOL
+
+
+def _rank_below(stack: np.ndarray, r: int) -> np.ndarray:
+    """Rank rule: whether each matrix of ``stack`` (shape ``(c, k, d)``)
+    has rank below ``r``, i.e. its r-th singular value is at most
+    ``_RANK_TOL`` of the largest."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    if sv.shape[-1] < r:
+        return np.ones(stack.shape[0], dtype=bool)
+    return sv[:, r - 1] <= _RANK_TOL * sv[:, 0]
 
 
 def _subset_geometry(rows: np.ndarray):
     """(rank_ok, t_star or None) for one atom subset.
 
-    ``rank_ok`` is False when the subset's rows do not span the full
-    space; ``t_star`` is the unique solution of ``rows @ t = 1`` when the
-    system is consistent, else None.  Cleanly conditioned cases run in
-    doubles; the gray zone escalates to 128-bit arithmetic.
+    ``rank_ok`` is False when the subset's rows fail the rank rule of
+    :func:`_rank_below`; ``t_star`` is the least-squares solution of
+    ``rows @ t = 1`` when every row passes the membership rule of
+    :func:`_on_hyperplane`, else None.
     """
-    d = rows.shape[1]
-    sv = np.linalg.svd(rows, compute_uv=False)
-    smax = sv[0] if sv[0] > 0 else 1.0
-    smin = sv[-1] if sv.size >= d else 0.0
-    if smin <= smax * 1e-13:
-        if smin > smax * 1e-30:  # gray zone: re-decide at high precision
-            rank, t, res = _mp_rank_and_solve(rows)
-            if rank < d:
-                return False, None
-            return True, (t if res <= 1e-9 else None)
+    if _rank_below(rows[None], rows.shape[1])[0]:
         return False, None
     t, *_ = np.linalg.lstsq(rows, np.ones(rows.shape[0]), rcond=None)
-    res = float(_relative_residual(rows, t).max())
-    if res > 1e-6:
-        return True, None
-    if res > 1e-12:  # ambiguous consistency: re-check tightly
-        rank, t_mp, res_mp = _mp_rank_and_solve(rows)
-        if rank < d:
-            return False, None
-        return True, (t_mp if res_mp <= 1e-9 else None)
-    return True, t
-
-
-def _rank_below(stack: np.ndarray, r: int) -> np.ndarray:
-    """Whether each matrix of ``stack`` (shape ``(c, k, d)``) has rank
-    below ``r``, with the bands of :func:`_subset_geometry`: its r-th
-    singular value is at most 1e-13 of the largest, and ratios above
-    1e-30 are re-decided in 128-bit arithmetic."""
-    sv = np.linalg.svd(stack, compute_uv=False)
-    if sv.shape[-1] < r:
-        return np.ones(stack.shape[0], dtype=bool)
-    ratio = sv[:, r - 1] / np.where(sv[:, 0] > 0, sv[:, 0], 1.0)
-    below = ratio <= 1e-13
-    for i in np.flatnonzero(below & (ratio > 1e-30)):
-        below[i] = _mp_rank_and_solve(stack[i])[0] < r
-    return below
+    return True, (t if _on_hyperplane(rows, t).all() else None)
 
 
 def _subset_eps(t_star: np.ndarray) -> float:
@@ -201,8 +173,8 @@ def _majority_eps(alpha: np.ndarray, scales: np.ndarray) -> Tuple[float, Optiona
     with solution ``t`` exists iff the hyperplane ``<s, t> = 1`` through
     some d independent atoms holds more than half the mass.  Both
     searches visit the O(n^d) atom tuples and test all atoms against
-    each one in a single vectorized step; only atoms in the gray bands
-    of :func:`_subset_geometry` are re-decided one by one.
+    each one in a single vectorized step, by the rank and membership
+    rules of :func:`_subset_geometry`.
     """
     n, d = scales.shape
     total = alpha.sum()
@@ -212,26 +184,16 @@ def _majority_eps(alpha: np.ndarray, scales: np.ndarray) -> Tuple[float, Optiona
         rows = scales[list(basis)]
         if _rank_below(rows[None], d - 1)[0]:
             continue
-        inside = np.zeros(n, dtype=bool)
-        inside[list(basis)] = True
-        rest = np.flatnonzero(~inside)
-        stack = np.concatenate(
-            [np.broadcast_to(rows, (rest.size, d - 1, d)), scales[rest, None]], axis=1
-        )
-        inside[rest] = _rank_below(stack, d)
+        stack = np.concatenate([np.broadcast_to(rows, (n, d - 1, d)), scales[:, None]], axis=1)
+        inside = _rank_below(stack, d)
         if 2.0 * alpha[inside].sum() > total:
             return 0.0, f"rank-deficient majority subset {tuple(np.flatnonzero(inside).tolist())}"
     best, witness = math.inf, None
     for basis in itertools.combinations(range(n), d):
-        rows = scales[list(basis)]
-        t = _subset_geometry(rows)[1]
+        t = _subset_geometry(scales[list(basis)])[1]
         if t is None:
             continue
-        res = _relative_residual(scales, t)
-        on = res <= 1e-12
-        for j in np.flatnonzero((res > 1e-12) & (res <= 1e-6)):
-            on[j] = _subset_geometry(np.vstack([rows, scales[j]]))[1] is not None
-        on[list(basis)] = True
+        on = _on_hyperplane(scales, t)
         if 2.0 * alpha[on].sum() > total:
             # solve over every atom on the hyperplane, so that all the
             # d-tuples spanning it give the same singular point

@@ -106,6 +106,17 @@ class TestFit:
         assert report["n"] == 1
         assert report["seed"] == 12  # flag wins over the file
 
+    @pytest.mark.parametrize("line", ["floor=1e-9", "bits=512"])
+    def test_config_key_without_fit_flag_is_config_error(self, tmp_path, gamma_csv, capsys, line):
+        # --floor is gone and fit has no --bits: neither key may be ignored
+        conf = tmp_path / "fit.conf"
+        conf.write_text(f"n=1\nm=2\n{line}\n")
+        rc = main(["fit", "--config", str(conf), "--input", str(gamma_csv),
+                   "--output", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        key = line.split("=")[0]
+        assert key in capsys.readouterr().err.rsplit(":", 1)[-1]  # named after the path
+
 
 class TestSample:
     def test_round_trip_and_determinism(self, tmp_path):
@@ -170,6 +181,14 @@ class TestCoeffsAndWb:
         assert payload["best_eps"] == pytest.approx(2.0)
         assert payload["dependence"]["kind"] in ("independent", "comonotonic", "general")
 
+    def test_check_wb_takes_no_config(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GgcModel([2.0], [[1.0]]).to_json())
+        conf = tmp_path / "c.txt"
+        conf.write_text("seed=1\n")
+        rc = main(["check-wb", "--config", str(conf), "--model", str(model_path),
+                   "--output", str(tmp_path / "wb.json")])
+        assert rc == EXIT_CONFIG
 
     def test_fit_report_feeds_model_commands(self, tmp_path, gamma_csv):
         # a fit's report.json holds the model under "model"

@@ -9,6 +9,7 @@ from scipy.stats import kendalltau, kstwo, norm
 from thorin.ggc import GgcModel, sample
 from thorin.validate import (
     _ks_sf,
+    _log_nfact_over_nn,
     BENCH_NAMES,
     bench_cdf,
     bench_density_mp,
@@ -84,6 +85,14 @@ class TestKsSf:
         for d in _ks_sf_grid(n):
             ref = float(kstwo.sf(d, n))
             assert abs(_ks_sf(n, d) - ref) <= 1e-9 * ref + 1e-14, (n, d)
+
+    def test_log_nfact_over_nn_to_rounding(self):
+        # n!/n^n scales the Durbin tail, so its absolute log error is the
+        # tail's relative error
+        with mpmath.workdps(50):
+            for n in range(1, 141):
+                ref = mpmath.loggamma(n + 1) - n * mpmath.log(n)
+                assert abs(_log_nfact_over_nn(n) - ref) <= 3e-14, n
 
     def test_resampled_pvalues_match_kstwo_loop(self):
         # a 1.5% scale misfit puts p-values on both sides of 0.025, so

@@ -28,27 +28,61 @@ def random_univariate(rng, wb=False):
     return GgcModel(alpha, scales)
 
 
-def structured_multivariate(rng):
+def structured_multivariate(rng, rounded=False):
     """d in {2, 3}, up to 10 atoms, mixing the degenerate geometries the
     majority search must get right: several atoms on one affine
-    hyperplane, shared rays (exact power-of-two multiples, duplicates
-    included), zero entries, and geometric or uniform masses."""
+    hyperplane, shared rays (duplicates included), zero entries, and
+    geometric or uniform masses.  By default the shared rays are exact
+    power-of-two multiples set after the hyperplane step; ``rounded``
+    draws multiples from {1/3, 1, 3} and sets the rays before dividing
+    atoms onto the hyperplane, so rows are proportional only up to
+    rounding."""
     d = int(rng.integers(2, 4))
     n = int(rng.integers(1, 11))
     scales = rng.uniform(0.05, 3.0, (n, d))
-    if rng.random() < 0.4:
-        t = rng.uniform(0.2, 2.0, d)
-        on = rng.random(n) < 0.6
-        scales[on] /= (scales[on] @ t)[:, None]
-    if rng.random() < 0.4:
-        share = rng.random(n) < 0.5
-        scales[share] = scales[0] * rng.choice([0.5, 1.0, 2.0, 4.0], size=(int(share.sum()), 1))
+
+    def hyperplane():
+        if rng.random() < 0.4:
+            t = rng.uniform(0.2, 2.0, d)
+            on = rng.random(n) < 0.6
+            scales[on] /= (scales[on] @ t)[:, None]
+
+    def shared_rays():
+        if rng.random() < 0.4:
+            share = rng.random(n) < 0.5
+            multiples = [1 / 3, 1.0, 3.0] if rounded else [0.5, 1.0, 2.0, 4.0]
+            scales[share] = scales[0] * rng.choice(multiples, size=(int(share.sum()), 1))
+
+    for step in (shared_rays, hyperplane) if rounded else (hyperplane, shared_rays):
+        step()
     if rng.random() < 0.3:
         zero = rng.random((n, d)) < 0.4
         zero[np.arange(n), rng.integers(0, d, n)] = False
         scales[zero] = 0.0
     alpha = 3.0 * 0.7 ** np.arange(n) if rng.random() < 0.3 else rng.uniform(0.2, 2.0, n)
     return GgcModel(alpha, scales)
+
+
+def cross_check_enumeration(rounded):
+    """``best_eps`` against the subset enumeration on 300 generated
+    models; returns their margins."""
+    rng = np.random.default_rng(11)
+    kinds = {"not-wb": 0, "finite": 0, "inf": 0}
+    margins = []
+    for _ in range(300):
+        m = structured_multivariate(rng, rounded)
+        expected = enumerated_best_eps(m)
+        rep = best_eps(m)
+        assert rep.is_wb == (expected > 0)
+        if math.isfinite(expected):
+            assert rep.best_eps == pytest.approx(expected, rel=1e-12, abs=0.0)
+        else:
+            assert rep.best_eps == math.inf
+        kind = "inf" if math.isinf(expected) else ("finite" if expected > 0 else "not-wb")
+        kinds[kind] += 1
+        margins.append(rep.best_eps)
+    assert min(kinds.values()) >= 30, kinds
+    return np.array(margins)
 
 
 class TestMobius:
@@ -202,20 +236,13 @@ class TestBestEps:
         assert rep.best_eps == pytest.approx(_subset_eps(t), rel=1e-12)
 
     def test_matches_subset_enumeration(self):
-        rng = np.random.default_rng(11)
-        kinds = {"not-wb": 0, "finite": 0, "inf": 0}
-        for _ in range(300):
-            m = structured_multivariate(rng)
-            expected = enumerated_best_eps(m)
-            rep = best_eps(m)
-            assert rep.is_wb == (expected > 0)
-            if math.isfinite(expected):
-                assert rep.best_eps == pytest.approx(expected, rel=1e-12, abs=0.0)
-            else:
-                assert rep.best_eps == math.inf
-            kind = "inf" if math.isinf(expected) else ("finite" if expected > 0 else "not-wb")
-            kinds[kind] += 1
-        assert min(kinds.values()) >= 30, kinds
+        cross_check_enumeration(rounded=False)
+
+    def test_matches_subset_enumeration_rows_proportional_up_to_rounding(self):
+        # rows that share a ray only up to rounding are rank-deficient
+        # under the rank rule, so no margin is rounding noise
+        margins = cross_check_enumeration(rounded=True)
+        assert not np.any((margins > 0) & (margins < 1e-12))
 
     def test_near_collinear_gray_zone(self):
         m = GgcModel([1.0, 1.0], [[1.0, 2.0], [2.0, 4.0 + 1e-25]])
