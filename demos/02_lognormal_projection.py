@@ -1,26 +1,26 @@
 """Projecting a formal log-normal density onto two gamma factors.
 
-Shifted moments of LN(0, 0.83) are integrated at 1024 bits, converted to
-Laguerre coefficients, and the two-atom model minimizing the truncated
-coefficient distance is found by particle swarm.  The optimum is sharp:
-independent seeds land on the same four parameter digits.
+The Laguerre coefficients ``<f, phi_k>`` of LN(0, 0.83) come from one
+tanh-sinh quadrature in doubles (the integrand is bounded, so nothing
+cancels), and the two-atom model minimizing the truncated coefficient
+distance is found by particle swarm.  The optimum is sharp: independent
+seeds land on the same four parameter digits.
 """
 
 import numpy as np
 
-from thorin import FitConfig, PrecisionContext, project_density, theoretical_moments
-from thorin.validate import bench_density_mp
+from thorin import FitConfig, project_density, theoretical_coeffs
+from thorin.validate import bench_pdf
 
 n = 2
 m = (2 * n,)  # 2n+1 basis functions
-print(f"integrating shifted moments of LN(0, 0.83) over the box {m} at 1024 bits ...")
-mu = theoretical_moments(
-    bench_density_mp("lognormal", {"mu": 0.0, "sigma": 0.83}), m, PrecisionContext(1024)
-)
-print("moments:", [f"{float(v):.6f}" for v in mu.ravel()])
+print(f"integrating the Laguerre coefficients of LN(0, 0.83) over the box {m} in doubles ...")
+pdf, jumps = bench_pdf("lognormal", {"mu": 0.0, "sigma": 0.83})
+target = theoretical_coeffs(pdf, m, jumps)
+print("coefficients:", [f"{v:.6f}" for v in target.a.ravel()])
 
 for seed in (0, 1, 2):
-    rep = project_density(mu, FitConfig(n=n, m=m, seed=seed, precision_bits=1024))
+    rep = project_density(target, FitConfig(n=n, m=m, seed=seed))
     order = np.argsort(rep.model.alpha)
     al = rep.model.alpha[order]
     sc = rep.model.scales.ravel()[order]

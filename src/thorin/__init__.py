@@ -58,6 +58,7 @@ from .estimator import (
     loss_Lm,
     fit_empirical,
     project_density,
+    theoretical_coeffs,
     theoretical_moments,
 )
 from .validate import (
@@ -69,6 +70,7 @@ from .validate import (
     bench_sampler,
     bench_cdf,
     bench_quantile,
+    bench_pdf,
     bench_density_mp,
     curious_cgf,
     curious_cgf_discrete,

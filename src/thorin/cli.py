@@ -24,14 +24,15 @@ from .estimator import (
     QuadratureError,
     fit_empirical,
     project_density,
-    theoretical_moments,
+    theoretical_coeffs,
+    theoretical_moments,  # noqa: F401  looked up by benchmarks/worker.py's span tracing
 )
 from .ggc import GgcModel, float_coeffs, model_coeffs, sample
 from .numkit import PrecisionContext
 from .validate import (
     BENCH_NAMES,
     bench_cdf,
-    bench_density_mp,
+    bench_pdf,
     bench_sampler,
     resampled_pvalues,
 )
@@ -170,6 +171,9 @@ def _fit_config(args) -> FitConfig:
     )
     if "n" not in vals:
         raise ConfigError("--n is required")
+    if "bits" in vals:
+        print(f"thorin {args.mode}: --bits has no effect, the projection target is "
+              "computed in doubles", file=sys.stderr)
     try:
         m = vals.get("m")
         if isinstance(m, str):
@@ -220,9 +224,8 @@ def cmd_project(args) -> int:
     if name == "clayton_pareto_lognormal":
         raise ConfigError("no formal density available for the Clayton benchmark")
     rcfg = cfg.resolved(d)
-    density = bench_density_mp(name, params)
-    mu = theoretical_moments(density, rcfg.m, PrecisionContext(rcfg.precision_bits))
-    report = project_density(mu, rcfg, d=d)
+    pdf, jumps = bench_pdf(name, params)
+    report = project_density(theoretical_coeffs(pdf, rcfg.m, jumps), rcfg)
     if name == "pareto" and params.get("k", 2.5) <= 0.5:
         report.notes = report.notes + (
             "target density lies outside L2: tail exponent k <= 1/2",
@@ -342,7 +345,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("project", help="project a formal density onto the class")
-    common(p, fit=True, bits=True)
+    common(p, fit=True)
+    p.add_argument("--bits", type=int, default=None,
+                   help="accepted and ignored: the target is computed in doubles")
     p.add_argument("--density", required=True)
     p.add_argument("--params", default="", help="e.g. mu=0,sigma=0.83")
     p.add_argument("--output", required=True, help="output directory")

@@ -2,8 +2,10 @@
 minimization by particle swarm.
 
 Two modes: estimation from samples (empirical coefficients) and
-projection from a formal density (coefficients from high-precision
-shifted moments).  The search runs in an unconstrained parameterization:
+projection from a formal density, whose coefficients ``<f, phi_k>`` come
+from one tanh-sinh quadrature in doubles (:func:`theoretical_coeffs`);
+a tensor of extended-precision shifted moments is still accepted as a
+projection target.  The search runs in an unconstrained parameterization:
 log-space for the shapes and simplex-logit space for each scale row (the
 logs of the row's simplex coordinates and of the residual), so every
 particle decodes to a valid model without clamping.  Model coefficients,
@@ -24,7 +26,13 @@ import numpy as np
 from mpmath import mpf
 
 from .ggc import GgcModel, batch_coeffs, float_coeffs
-from .laguerre import CoeffTensor, coeffs_from_moments, empirical_coeffs, validate_samples
+from .laguerre import (
+    CoeffTensor,
+    coeffs_from_moments,
+    empirical_coeffs,
+    phi_univariate,
+    validate_samples,
+)
 from .numkit import COEFF_DEFAULT, PrecisionContext, box_shape
 from .wellbehaved import WbReport, best_eps
 
@@ -36,6 +44,7 @@ __all__ = [
     "loss_Lm",
     "fit_empirical",
     "project_density",
+    "theoretical_coeffs",
     "theoretical_moments",
 ]
 
@@ -51,6 +60,13 @@ _LOGIT_RANGE = (-18.0, 0.0)
 _ZERO_SCALE_TOL = 1e-10
 _SHAPE_FLOOR = 1e-12
 _SPLIT = ((0, 1), (1, 10), (10, mpmath.inf))
+# tanh-sinh step sums stop where the node is within 2^-64 of an end of
+# its interval, as mpmath's rule does at 53 bits
+_TS_TMAX = math.asinh(64 * math.log(2.0) / math.pi)
+_TS_TORIGIN = math.asinh(690.0 / math.pi)  # exp(pi sinh t) down to ~1e-300
+_COEFF_TOL = 1e-15
+_COEFF_LEVELS = (10, 7)  # highest level for d = 1, 2
+_GRID_ROWS = 256  # rows of the d = 2 node grid per density call, to bound memory
 
 
 def default_box(n: int, d: int) -> Tuple[int, ...]:
@@ -135,7 +151,8 @@ class FitReport:
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance; the
-    achieved relative tolerance is carried along."""
+    achieved tolerance (relative for moments, absolute for coefficients)
+    is carried along."""
 
     def __init__(self, message: str, achieved_tol: float):
         super().__init__(message)
@@ -319,20 +336,95 @@ def fit_empirical(samples, cfg: FitConfig) -> FitReport:
     return _run_swarm(target, d, rcfg, _digest(target.a, rcfg.m), 53)
 
 
-def project_density(moment_source, cfg: FitConfig, d: int = None) -> FitReport:
-    """Same optimization as :func:`fit_empirical`, with the target
-    coefficients computed from theoretical ``-1``-shifted moments
-    (a dense tensor over the box, mpf or float entries) at
-    ``cfg.precision_bits``, the ``bits_used`` of the report."""
-    mu = np.asarray(moment_source)
-    if d is None:
-        d = mu.ndim
-    rcfg = cfg.resolved(d)
-    if mu.shape != box_shape(rcfg.m):
-        raise ValueError(f"moment tensor shape {mu.shape} does not cover box {rcfg.m}")
-    target = coeffs_from_moments(mu, rcfg.m, PrecisionContext(rcfg.precision_bits))
+def project_density(target, cfg: FitConfig, d: int = None) -> FitReport:
+    """Same optimization as :func:`fit_empirical`, towards the
+    coefficients of a formal density.
+
+    ``target`` is either the :class:`CoeffTensor` of
+    :func:`theoretical_coeffs`, computed in doubles (``bits_used`` 53),
+    or a dense tensor of theoretical ``-1``-shifted moments (mpf or float
+    entries, ``d`` axes, by default all of them), cancelled into
+    coefficients by :func:`coeffs_from_moments` at ``cfg.precision_bits``,
+    the ``bits_used`` of the report.
+    """
+    bits = 53
+    if not isinstance(target, CoeffTensor):
+        mu = np.asarray(target)
+        bits = cfg.precision_bits
+        target = coeffs_from_moments(mu, cfg.resolved(d or mu.ndim).m, PrecisionContext(bits))
+    rcfg = cfg.resolved(target.d)
+    if target.m != rcfg.m:
+        raise ValueError(f"target box {target.m} does not match box {rcfg.m}")
     target = CoeffTensor(rcfg.m, target.as_float())
-    return _run_swarm(target, d, rcfg, _digest(target.a, rcfg.m), rcfg.precision_bits)
+    return _run_swarm(target, target.d, rcfg, _digest(target.a, rcfg.m), bits)
+
+
+def _tanh_sinh(splits: Sequence[float], level: int):
+    """Nodes and weights of the tanh-sinh rule with step ``h = 2^-level``
+    (Takahasi & Mori 1974) on ``[s_0, s_1], ..., [s_last, inf)``.
+
+    With ``c2 = exp(pi sinh t)`` a finite node is ``a + (b-a) c2/(1+c2)``
+    with weight ``h (b-a) pi cosh t c2/(1+c2)^2``, and the last interval
+    uses mpmath's map ``x = a + 1/c2`` with weight ``h pi cosh t / c2``;
+    written this way, no node near an end loses digits to ``1 - tanh``.
+    Nodes near ``0`` keep their relative precision, so on ``[0, s_1]`` the
+    sum runs on down to ``x ~ 1e-300``: a density singular at the origin
+    (Weibull with ``k < 1``) loses no mass there.
+    """
+    h = 2.0 ** -level
+    t = h * np.arange(-math.ceil(_TS_TORIGIN / h), math.ceil(_TS_TMAX / h) + 1)
+    near = t >= -math.ceil(_TS_TMAX / h) * h
+    c2 = np.exp(np.pi * np.sinh(t))
+    hw = h * np.pi * np.cosh(t)
+    xs, ws = [], []
+    for i, (a, b) in enumerate(zip(splits[:-1], splits[1:])):
+        keep = slice(None) if i == 0 else near
+        xs.append(a + (b - a) * (c2[keep] / (1.0 + c2[keep])))
+        ws.append((b - a) * hw[keep] * c2[keep] / (1.0 + c2[keep]) ** 2)
+    return (np.concatenate(xs + [splits[-1] + 1.0 / c2[near]]),
+            np.concatenate(ws + [hw[near] / c2[near]]))
+
+
+def theoretical_coeffs(pdf: Callable, m: Sequence[int], jumps: Sequence[float] = ()) -> CoeffTensor:
+    """Laguerre coefficients ``a_k = int f phi_k`` of a density over the
+    box, by tanh-sinh quadrature in doubles.
+
+    ``pdf`` is vectorized: one array per coordinate, broadcast against
+    each other (``d <= 2``).  Every axis is split where
+    :func:`theoretical_moments` splits it, ``[0,1], [1,10], [10,inf)``,
+    and at each of ``jumps``, where the density may be discontinuous.  The basis
+    is evaluated at the nodes, so in ``d = 2`` the estimate is
+    ``Phi_1 F Phi_2^T`` over the tensor grid, built in row blocks.  The
+    integrand is bounded (``|phi_k| <= sqrt(2)^d``), so no cancellation
+    costs digits: the level rises until two successive estimates agree to
+    ``_COEFF_TOL`` absolute, else :class:`QuadratureError` carries the
+    last difference.
+    """
+    m = tuple(int(v) for v in m)
+    d = len(m)
+    if d > 2:
+        raise ValueError("quadrature mode supports d <= 2")
+    splits = sorted({float(a) for a, _ in _SPLIT} | {float(v) for v in jumps if v > 0})
+    prev = None
+    for level in range(1, _COEFF_LEVELS[d - 1] + 1):
+        x, w = _tanh_sinh(splits, level)
+        basis = [phi_univariate(mj, x) * w for mj in m]
+        if d == 1:
+            a = basis[0] @ pdf(x)
+        else:
+            a = sum(basis[0][:, r] @ (pdf(x[r, None], x[None, :]) @ basis[1].T)
+                    for r in (slice(i, i + _GRID_ROWS) for i in range(0, x.size, _GRID_ROWS)))
+        if prev is not None:
+            diff = np.abs(a - prev)
+            if diff.max() <= _COEFF_TOL:
+                return CoeffTensor(m, a)
+        prev = a
+    k = np.unravel_index(np.argmax(diff), diff.shape)
+    raise QuadratureError(
+        f"coefficient quadrature at k={tuple(map(int, k))} reached absolute tolerance "
+        f"{diff.max():.3g} (requested {_COEFF_TOL:.0e})",
+        float(diff.max()),
+    )
 
 
 def theoretical_moments(

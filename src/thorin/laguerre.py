@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LN2 = math.log(2.0)
+_X_PLAIN = 700.0
 
 
 @dataclass
@@ -107,10 +109,18 @@ def phi_univariate(kmax: int, xs: np.ndarray) -> np.ndarray:
 
     Uses the stable three-term recurrence for Laguerre polynomials in the
     variable ``2x``; the defining binomial sum cancels catastrophically
-    for large ``k`` and is kept only as a test oracle.
+    for large ``k`` and is kept only as a test oracle.  Since
+    ``|L_k(2x)| <= e^x`` (Szegő), neither ``L_k(2x)`` nor ``e^{-x}``
+    leaves the normal range up to ``x = _X_PLAIN``; beyond it the columns
+    go through :func:`_phi_far`.
     """
     xs = np.asarray(xs, dtype=float)
     out = np.empty((kmax + 1, xs.size))
+    far = xs > _X_PLAIN
+    if far.any():
+        out[:, ~far] = phi_univariate(kmax, xs[~far])
+        out[:, far] = _phi_far(kmax, xs[far])
+        return out
     L0 = np.ones(xs.size)
     out[0] = L0
     if kmax >= 1:
@@ -121,6 +131,25 @@ def phi_univariate(kmax: int, xs: np.ndarray) -> np.ndarray:
             out[k + 1] = L2
             L0, L1 = L1, L2
     return out * (_SQRT2 * np.exp(-xs))[None, :]
+
+
+def _phi_far(kmax: int, xs: np.ndarray) -> np.ndarray:
+    """``phi_k(x)`` for ``x > _X_PLAIN``, where ``L_k(2x)`` may overflow
+    and ``e^{-x}`` underflows.  The recurrence carries ``L_k(2x) 2^{-E_k}``
+    with the mantissa renormalized at every step, and ``2^{E_k} e^{-x}``
+    is formed as one exponential, so the tiny values come out true (or as
+    zero once they underflow) instead of ``inf * 0``."""
+    scaled = np.empty((kmax + 1, xs.size))
+    expo = np.zeros((kmax + 1, xs.size))
+    L0, L1, e = np.ones(xs.size), 1.0 - 2.0 * xs, np.zeros(xs.size)
+    scaled[0] = L0
+    for k in range(1, kmax + 1):
+        L1, shift = np.frexp(L1)
+        L0 = np.ldexp(L0, -shift)
+        e = e + shift
+        scaled[k], expo[k] = L1, e
+        L0, L1 = L1, ((2.0 * k + 1.0 - 2.0 * xs) * L1 - k * L0) / (k + 1.0)
+    return _SQRT2 * scaled * np.exp(expo * _LN2 - xs[None, :])
 
 
 def phi(k: Sequence[int], x) -> float:

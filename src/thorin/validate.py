@@ -29,6 +29,7 @@ __all__ = [
     "bench_sampler",
     "bench_cdf",
     "bench_quantile",
+    "bench_pdf",
     "bench_density_mp",
     "BENCH_NAMES",
     "curious_cgf",
@@ -307,6 +308,53 @@ def bench_cdf(name: str, params: dict) -> Callable:
         k = p.get("k", 1.5)
         return lambda x: -np.expm1(-np.maximum(x, 0.0) ** k)
     raise ValueError(f"no univariate cdf for benchmark {name!r}")
+
+
+def bench_pdf(name: str, params: dict):
+    """Vectorized density of a benchmark with a formal one, and the points
+    where it jumps: ``(pdf, jumps)``.  ``pdf`` takes one array per
+    coordinate (broadcast against each other) and is zero off the support;
+    the only jump is Pareto's at ``xm``."""
+    p = dict(params or {})
+    if name == "lognormal":
+        mu, sigma = p.get("mu", 0.0), p.get("sigma", 0.83)
+        norm = sigma * math.sqrt(2.0 * math.pi)
+
+        def ln_pdf(x):
+            lx = np.log(np.maximum(x, 1e-300))  # the density vanishes at 0
+            z = (lx - mu) / sigma
+            return np.exp(-0.5 * z * z - lx) / norm
+
+        return ln_pdf, ()
+    if name == "weibull":
+        k = p.get("k", 1.5)
+
+        def wb_pdf(x):
+            x = np.maximum(x, 0.0)
+            with np.errstate(divide="ignore"):
+                return np.where(x > 0, k * x ** (k - 1) * np.exp(-(x ** k)), 0.0)
+
+        return wb_pdf, ()
+    if name == "pareto":
+        k, xm = p.get("k", 2.5), p.get("xm", 1.0)
+
+        def pa_pdf(x):
+            return np.where(x < xm, 0.0, k * xm ** k / np.maximum(x, xm) ** (k + 1))
+
+        return pa_pdf, (xm,)
+    if name == "mln_gaussian":
+        mu, sigma, rho = p.get("mu", 0.0), p.get("sigma", 1.0), p.get("rho", 0.5)
+        one_m_rho2 = 1.0 - rho * rho
+        norm = 2.0 * math.pi * sigma * sigma * math.sqrt(one_m_rho2)
+
+        def mln_pdf(x, y):
+            lx, ly = np.log(np.maximum(x, 1e-300)), np.log(np.maximum(y, 1e-300))
+            u, v = (lx - mu) / sigma, (ly - mu) / sigma
+            q = (u * u - 2.0 * rho * u * v + v * v) / one_m_rho2
+            return np.exp(-0.5 * q - lx - ly) / norm
+
+        return mln_pdf, ()
+    raise ValueError(f"no formal density for benchmark {name!r}")
 
 
 def bench_quantile(name: str, params: dict) -> Callable:

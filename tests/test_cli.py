@@ -1,10 +1,14 @@
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thorin import cli, validate
 from thorin.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from thorin.ggc import GgcModel, sample
 from thorin.laguerre import CoeffTensor
@@ -289,12 +293,35 @@ class TestProject:
         assert np.isfinite(report["loss"])
         assert np.asarray(report["model"]["scales"]).shape[1] == 2
 
-    def test_unresolved_quadrature_is_numeric_failure(self, tmp_path):
+    def test_unresolved_quadrature_is_numeric_failure(self, tmp_path, monkeypatch):
+        # with Pareto's jump at xm = 2 withheld, the discontinuity sits
+        # inside [1, 10] and successive quadrature levels never agree
+        def without_jumps(name, params):
+            return validate.bench_pdf(name, params)[0], ()
+
+        monkeypatch.setattr(cli, "bench_pdf", without_jumps)
         rc = main(
             ["project", "--density", "pareto", "--params", "k=2.5,xm=2", "--n", "1",
              "--m", "1", "--bits", "64", "--output", str(tmp_path / "p")]
         )
         assert rc == EXIT_NUMERIC
+
+    def test_bits_is_accepted_without_effect(self, tmp_path, capsys):
+        argv = ["project", "--density", "weibull", "--n", "1", "--m", "2", "--seed", "1",
+                "--iters", "30", "--restarts", "1"]
+        assert main(argv + ["--output", str(tmp_path / "a")]) == EXIT_OK
+        plain = capsys.readouterr()
+        conf = tmp_path / "bits.conf"
+        conf.write_text("bits = 64\n")
+        for extra, out in ((["--bits", "512"], "b"), (["--config", str(conf)], "c")):
+            assert main(argv + extra + ["--output", str(tmp_path / out)]) == EXIT_OK
+            run = capsys.readouterr()
+            assert run.out == plain.out.replace(str(tmp_path / "a"), str(tmp_path / out))
+            assert len(run.err.splitlines()) == 1 and "--bits has no effect" in run.err
+            for name in ("report.json", "coeffs.json"):
+                assert (tmp_path / out / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert report["bits_used"] == 53
 
     def test_clayton_has_no_formal_density(self, tmp_path):
         rc = main(
@@ -323,3 +350,18 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestBenchmarkTraceContract:
+    def test_traced_names_resolve(self):
+        # benchmarks/worker.py --trace wraps these module-level names; one
+        # that is gone crashes every traced benchmark pass
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "worker.py"
+        spec = importlib.util.spec_from_file_location("benchmark_worker", path)
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        assert worker.TRACED
+        for module_name, attrs in worker.TRACED.items():
+            module = importlib.import_module(module_name)
+            for attr in attrs:
+                assert callable(getattr(module, attr)), (module_name, attr)

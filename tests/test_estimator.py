@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -14,11 +15,13 @@ from thorin.estimator import (
     fit_empirical,
     loss_Lm,
     project_density,
+    theoretical_coeffs,
     theoretical_moments,
 )
 from thorin.ggc import GgcModel, batch_coeffs, model_coeffs, sample
-from thorin.laguerre import CoeffTensor
+from thorin.laguerre import CoeffTensor, coeffs_from_moments
 from thorin.numkit import PrecisionContext
+from thorin.validate import bench_density_mp, bench_pdf
 
 
 class TestFitConfig:
@@ -206,6 +209,74 @@ class TestProjectDensity:
     def test_moment_box_mismatch(self):
         with pytest.raises(ValueError):
             project_density(np.zeros((3,)), FitConfig(n=1, m=(4,)))
+
+    def test_coefficient_target_runs_in_doubles(self):
+        model = GgcModel([1.0, 2.0], [[0.5], [3.0]])
+        m = (4,)
+        cfg = FitConfig(n=2, m=m, seed=1, max_iters=300, restarts=1, precision_bits=512)
+        rep = project_density(model_coeffs(model, m).coeffs, cfg)
+        ref = project_density(model_coeffs(model, m).shifted.mu, cfg)
+        assert rep.bits_used == 53 and ref.bits_used == 512
+        assert rep.loss == pytest.approx(ref.loss, abs=1e-20)
+        with pytest.raises(ValueError):
+            project_density(CoeffTensor((3,), np.zeros(4)), cfg)
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_chain_coeffs(name, params, m, bits):
+    ctx = PrecisionContext(bits)
+    mu = theoretical_moments(bench_density_mp(name, dict(params)), m, ctx)
+    return coeffs_from_moments(mu, m, ctx).as_float()
+
+
+class TestTheoreticalCoeffs:
+    @pytest.mark.parametrize(
+        "name, params, m",
+        [
+            ("lognormal", (("mu", 0.0), ("sigma", 0.83)), (4,)),
+            ("lognormal", (("mu", 0.0), ("sigma", 0.83)), (21,)),
+            ("lognormal", (("mu", 0.0), ("sigma", 0.83)), (40,)),
+            ("weibull", (("k", 1.5),), (8,)),
+            ("weibull", (("k", 0.5),), (6,)),  # density singular at the origin
+        ],
+    )
+    def test_matches_256_bit_moment_chain(self, name, params, m):
+        # a_k depends on mu_l for l <= k only, so one 256-bit chain over
+        # the largest box serves every smaller one
+        big = (40,) if name == "lognormal" else m
+        ref = _moment_chain_coeffs(name, params, big, 256)[: m[0] + 1]
+        pdf, jumps = bench_pdf(name, dict(params))
+        got = theoretical_coeffs(pdf, m, jumps)
+        assert got.m == m and got.a.dtype == float
+        assert np.abs(got.a - ref).max() <= 2e-15
+
+    def test_pareto_jump_matches_closed_form_moments(self):
+        # the moment quadrature has no split at xm = 2, so the 256-bit
+        # moments come from mu_k = k_t xm^k_t Gamma(k - k_t, xm)
+        kt, xm, m = 2.5, 2.0, (10,)
+        ctx = PrecisionContext(256)
+        with ctx.workprec():
+            mu = np.array([kt * mpf(xm) ** kt * mpmath.gammainc(k - kt, xm)
+                           for k in range(m[0] + 1)], dtype=object)
+        ref = coeffs_from_moments(mu, m, ctx).as_float()
+        pdf, jumps = bench_pdf("pareto", {"k": kt, "xm": xm})
+        assert np.abs(theoretical_coeffs(pdf, m, jumps).a - ref).max() <= 2e-15
+
+    def test_bivariate_matches_64_bit_moment_chain(self):
+        params = (("rho", 0.5),)
+        ref = _moment_chain_coeffs("mln_gaussian", params, (2, 2), 64)
+        pdf, jumps = bench_pdf("mln_gaussian", dict(params))
+        assert np.abs(theoretical_coeffs(pdf, (2, 2), jumps).a - ref).max() <= 1e-12
+
+    def test_undeclared_jump_raises_with_achieved_tolerance(self):
+        pdf, _ = bench_pdf("pareto", {"k": 2.5, "xm": 2.0})
+        with pytest.raises(QuadratureError) as info:
+            theoretical_coeffs(pdf, (4,))
+        assert info.value.achieved_tol > 1e-15
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError):
+            theoretical_coeffs(lambda *a: 0.0, (1, 1, 1))
 
 
 class TestTheoreticalMoments:

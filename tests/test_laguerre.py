@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -80,6 +81,23 @@ class TestPhi:
                 vals = vals * mats[j][k[j]]
             assert np.all(np.abs(vals) <= SQRT2 ** d + 1e-9)
 
+    def test_far_tail_matches_mp_oracle(self):
+        # beyond x = 700, L_k(2x) may overflow and e^{-x} underflows: the
+        # values are the true tiny ones (zero once they underflow), never NaN
+        xs = np.concatenate([[650.0, 699.0, 701.0, 750.0, 900.0, 1100.0],
+                             np.logspace(3.2, 300, 12), [1e20, 9e21]])
+        kmax = 60
+        got = phi_univariate(kmax, xs)
+        with mpmath.workdps(40):
+            for i, x in enumerate(xs):
+                X = mpmath.mpf(x)
+                for k in range(kmax + 1):
+                    ref = float(mpmath.sqrt(2) * mpmath.exp(-X) * mpmath.laguerre(k, 0, 2 * X))
+                    if abs(ref) >= 1e-300:
+                        assert got[k, i] == pytest.approx(ref, rel=1e-12), (k, x)
+                    else:
+                        assert abs(got[k, i] - ref) <= 1e-300, (k, x)
+
     def test_orthonormality_by_quadrature(self):
         for j in range(0, 11, 2):
             for k in range(j, 11, 3):
@@ -97,6 +115,12 @@ class TestEmpiricalCoeffs:
     def test_single_sample_at_origin(self):
         ct = empirical_coeffs(np.zeros((1, 1)), (3,))
         assert np.allclose(ct.a, SQRT2)
+
+    def test_heavy_tail_maximum_contributes_zero(self):
+        # a Pareto(0.25) sample of 1e5 reaches ~1e20, where L_21(2x)
+        # overflows in doubles
+        ct = empirical_coeffs(np.array([[1.4e20], [0.5]]), (21,))
+        assert np.array_equal(ct.a, phi_univariate(21, [0.5])[:, 0] / 2)
 
     def test_single_sample_equals_phi(self):
         x = np.array([[0.7, 2.1]])

@@ -13,6 +13,7 @@ from thorin.validate import (
     BENCH_NAMES,
     bench_cdf,
     bench_density_mp,
+    bench_pdf,
     bench_quantile,
     bench_sampler,
     curious_cgf,
@@ -234,6 +235,15 @@ class TestBenchSamplers:
             with mpmath.workprec(80):
                 total = mpmath.quad(pdf, [0, 1, 10, mpmath.inf])
                 assert abs(float(total) - 1.0) < 1e-12
+            # the double density agrees with the mp one pointwise, and
+            # declares exactly Pareto's jump
+            pdf64, jumps = bench_pdf(name, params)
+            assert jumps == ((1.0,) if name == "pareto" else ())
+            xs = np.array([0.0, 1e-3, 0.3, 0.999, 1.0, 1.7, 5.0, 40.0, 1e3, 1e19])
+            got = pdf64(xs)
+            with mpmath.workprec(80):
+                ref = np.array([float(pdf(mpmath.mpf(x))) for x in xs])
+            assert np.allclose(got, ref, rtol=1e-13, atol=0.0), name
 
     def test_density_constants_follow_precision(self):
         # each closure is called at a low precision first, so a constant
@@ -260,6 +270,14 @@ class TestBenchSamplers:
             with mpmath.workprec(bits):
                 x, y = mpmath.mpf(5) / 3, mpmath.mpf(2) / 7
                 assert abs(pdf(x, y) / mln_ref(x, y) - 1) <= mpmath.mpf(2) ** (8 - bits)
+        # the double density broadcasts one array per coordinate
+        pdf64, jumps = bench_pdf("mln_gaussian", {})
+        assert jumps == ()
+        pts = np.array([0.0, 0.05, 2.0 / 7, 1.0, 5.0 / 3, 12.0, 300.0])
+        got = pdf64(pts[:, None], pts[None, :])
+        with mpmath.workprec(80):
+            ref = np.array([[float(pdf(mpmath.mpf(x), mpmath.mpf(y))) for y in pts] for x in pts])
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
     def test_samples_match_cdf(self):
         for name, params in [
