@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .numkit import (
     PrecisionContext,
-    DOUBLE,
     COEFF_DEFAULT,
     iterate_box,
     binom_prod,
@@ -72,6 +71,7 @@ from .validate import (
     bench_quantile,
     bench_pdf,
     bench_density_mp,
+    bench_params,
     curious_cgf,
     curious_cgf_discrete,
 )

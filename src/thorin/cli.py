@@ -27,11 +27,12 @@ from .estimator import (
     theoretical_coeffs,
     theoretical_moments,  # noqa: F401  looked up by benchmarks/worker.py's span tracing
 )
-from .ggc import GgcModel, float_coeffs, model_coeffs, sample
-from .numkit import PrecisionContext
+from .ggc import GgcModel, float_coeffs, sample
+from .ggc import model_coeffs  # noqa: F401  looked up by benchmarks/worker.py's span tracing
 from .validate import (
     BENCH_NAMES,
     bench_cdf,
+    bench_params,
     bench_pdf,
     bench_sampler,
     resampled_pvalues,
@@ -130,6 +131,15 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
+def _bench_params(name: str, text: str) -> dict:
+    """``--params`` of a benchmark over its defaults; an unknown key or a
+    value outside its domain is a config error."""
+    try:
+        return bench_params(name, _parse_kv(text))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def _load_config_file(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -188,7 +198,6 @@ def _fit_config(args) -> FitConfig:
             swarm_size=int(vals["swarm"]) if "swarm" in vals else None,
             max_iters=int(vals.get("iters", 2000)),
             seed=int(vals.get("seed", 0)),
-            precision_bits=int(vals.get("bits", 256)),
             restarts=int(vals.get("restarts", 3)),
         )
     except ValueError as exc:
@@ -218,15 +227,15 @@ def cmd_project(args) -> int:
     name = args.density
     if name not in BENCH_NAMES:
         raise ConfigError(f"unknown density {name!r}; choose from {BENCH_NAMES}")
-    params = _parse_kv(args.params)
-    cfg = _fit_config(args)
-    d = 2 if name == "mln_gaussian" else 1
     if name == "clayton_pareto_lognormal":
         raise ConfigError("no formal density available for the Clayton benchmark")
+    params = _bench_params(name, args.params)
+    cfg = _fit_config(args)
+    d = 2 if name == "mln_gaussian" else 1
     rcfg = cfg.resolved(d)
     pdf, jumps = bench_pdf(name, params)
     report = project_density(theoretical_coeffs(pdf, rcfg.m, jumps), rcfg)
-    if name == "pareto" and params.get("k", 2.5) <= 0.5:
+    if name == "pareto" and params["k"] <= 0.5:
         report.notes = report.notes + (
             "target density lies outside L2: tail exponent k <= 1/2",
         )
@@ -251,11 +260,10 @@ def cmd_coeffs(args) -> int:
     m = tuple(int(v) for v in args.m.split(",")) if args.m else None
     if m is None:
         raise ConfigError("--m is required for coeffs")
-    mc = model_coeffs(model, m, PrecisionContext(args.bits or 256))
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(mc.coeffs.to_json() + "\n")
-    print(f"wrote {out} (bits_used={mc.bits_used})")
+    out.write_text(float_coeffs(model, m).to_json() + "\n")
+    print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -280,9 +288,10 @@ def cmd_validate(args) -> int:
     model = _load_model(args.model)
     if args.target not in ("lognormal", "pareto", "weibull"):
         raise ConfigError(f"unknown validation target {args.target!r}")
-    params = _parse_kv(args.params)
-    N = args.N or 10_000
-    B = args.B or 50
+    params = _bench_params(args.target, args.params)
+    N, B = args.N, args.B
+    if N < 1 or B < 1:
+        raise ConfigError("sample size N and replicate count B must be >= 1")
     cdf = bench_cdf(args.target, params)
     pv = resampled_pvalues(model, cdf, N, B, args.seed or 0)
     outdir = Path(args.output)
@@ -309,7 +318,7 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"unknown benchmark {args.name!r}; choose from {BENCH_NAMES}")
     if args.N is None or args.N < 1:
         raise ConfigError("sample size N must be >= 1")
-    xs = bench_sampler(args.name, _parse_kv(args.params), args.N, args.seed or 0)
+    xs = bench_sampler(args.name, _bench_params(args.name, args.params), args.N, args.seed or 0)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, xs)
@@ -326,10 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"thorin {__version__}")
     sub = ap.add_subparsers(dest="mode", required=True)
 
-    def common(p, fit=False, bits=False):
+    def common(p, fit=False):
         p.add_argument("--seed", type=int, default=None)
-        if bits:
-            p.add_argument("--bits", type=int, default=None, help="extended precision")
         if fit:
             p.add_argument("--config", help="JSON or key=value config file")
             p.add_argument("--n", type=int, default=None)
@@ -346,6 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="project a formal density onto the class")
     common(p, fit=True)
+    # kept, with the bits config key, because the benchmark's project-1d
+    # workload (benchmarks/run.py, run through benchmarks/worker.py) passes --bits 512
     p.add_argument("--bits", type=int, default=None,
                    help="accepted and ignored: the target is computed in doubles")
     p.add_argument("--density", required=True)
@@ -361,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("coeffs", help="Laguerre coefficients of a model JSON")
-    common(p, bits=True)
+    common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--m", type=str, default=None)
     p.add_argument("--output", required=True, help="output JSON")
@@ -378,8 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--params", default="")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--B", type=int, default=None)
+    p.add_argument("--N", type=int, default=10_000)
+    p.add_argument("--B", type=int, default=50)
     p.add_argument("--output", required=True, help="output directory")
     p.set_defaults(func=cmd_validate)
 

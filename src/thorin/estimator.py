@@ -4,13 +4,13 @@ minimization by particle swarm.
 Two modes: estimation from samples (empirical coefficients) and
 projection from a formal density, whose coefficients ``<f, phi_k>`` come
 from one tanh-sinh quadrature in doubles (:func:`theoretical_coeffs`);
-a tensor of extended-precision shifted moments is still accepted as a
-projection target.  The search runs in an unconstrained parameterization:
-log-space for the shapes and simplex-logit space for each scale row (the
-logs of the row's simplex coordinates and of the residual), so every
-particle decodes to a valid model without clamping.  Model coefficients,
-for the swarm and for the reported loss alike, come from one double
-kernel, :func:`thorin.ggc.batch_coeffs`.
+the extended-precision shifted moments of :func:`theoretical_moments`
+remain only as its test oracle.  The search runs in an unconstrained
+parameterization: log-space for the shapes and simplex-logit space for
+each scale row (the logs of the row's simplex coordinates and of the
+residual), so every particle decodes to a valid model without clamping.
+Model coefficients, for the swarm and for the reported loss alike, come
+from one double kernel, :func:`thorin.ggc.batch_coeffs`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from mpmath import mpf
 from .ggc import GgcModel, batch_coeffs, float_coeffs
 from .laguerre import (
     CoeffTensor,
-    coeffs_from_moments,
+    coeffs_from_moments,  # noqa: F401  looked up here by benchmarks/worker.py's span tracing
     empirical_coeffs,
     phi_univariate,
     validate_samples,
@@ -88,7 +88,6 @@ class FitConfig:
     swarm_size: Optional[int] = None
     max_iters: int = 2000
     seed: int = 0
-    precision_bits: int = 256
     restarts: int = 3
 
     def __post_init__(self):
@@ -106,9 +105,7 @@ class FitConfig:
     def resolved(self, d: int) -> "FitConfig":
         m = self.m if self.m is not None else default_box(self.n, d)
         swarm = self.swarm_size or 20 * self.n * (d + 2)
-        return FitConfig(
-            self.n, m, swarm, self.max_iters, self.seed, self.precision_bits, self.restarts
-        )
+        return FitConfig(self.n, m, swarm, self.max_iters, self.seed, self.restarts)
 
 
 @dataclass
@@ -280,9 +277,7 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
     return gbest, gbl, it, False
 
 
-def _run_swarm(
-    target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str, bits_used: int
-) -> FitReport:
+def _run_swarm(target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str) -> FitReport:
     cfg = cfg.resolved(d)
     target_flat = target.as_float().ravel()
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
@@ -307,7 +302,7 @@ def _run_swarm(
         seed=cfg.seed,
         iters=iters_total,
         restarts_used=cfg.restarts,
-        bits_used=bits_used,
+        bits_used=53,
         converged=converged,
         empirical_coeffs_hash=hash_text,
     )
@@ -333,30 +328,23 @@ def fit_empirical(samples, cfg: FitConfig) -> FitReport:
     d = arr.shape[1]
     rcfg = cfg.resolved(d)
     target = empirical_coeffs(arr, rcfg.m)
-    return _run_swarm(target, d, rcfg, _digest(target.a, rcfg.m), 53)
+    return _run_swarm(target, d, rcfg, _digest(target.a, rcfg.m))
 
 
-def project_density(target, cfg: FitConfig, d: int = None) -> FitReport:
+def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
     """Same optimization as :func:`fit_empirical`, towards the
-    coefficients of a formal density.
+    coefficients of a formal density, such as those of
+    :func:`theoretical_coeffs`.
 
-    ``target`` is either the :class:`CoeffTensor` of
-    :func:`theoretical_coeffs`, computed in doubles (``bits_used`` 53),
-    or a dense tensor of theoretical ``-1``-shifted moments (mpf or float
-    entries, ``d`` axes, by default all of them), cancelled into
-    coefficients by :func:`coeffs_from_moments` at ``cfg.precision_bits``,
-    the ``bits_used`` of the report.
+    ``target`` must cover the box ``cfg`` resolves to in its dimension;
+    mpf entries are rounded to doubles, and the report's ``bits_used``
+    is 53.
     """
-    bits = 53
-    if not isinstance(target, CoeffTensor):
-        mu = np.asarray(target)
-        bits = cfg.precision_bits
-        target = coeffs_from_moments(mu, cfg.resolved(d or mu.ndim).m, PrecisionContext(bits))
     rcfg = cfg.resolved(target.d)
     if target.m != rcfg.m:
         raise ValueError(f"target box {target.m} does not match box {rcfg.m}")
     target = CoeffTensor(rcfg.m, target.as_float())
-    return _run_swarm(target, target.d, rcfg, _digest(target.a, rcfg.m), bits)
+    return _run_swarm(target, target.d, rcfg, _digest(target.a, rcfg.m))
 
 
 def _tanh_sinh(splits: Sequence[float], level: int):
@@ -438,6 +426,8 @@ def theoretical_moments(
     node when ``d = 2``); ``w e^{-|x|} f(x)`` feeds every moment.  The
     relative tolerance target is ``10^(-bits/8)``; failure raises
     :class:`QuadratureError` carrying the worst achieved tolerance.
+    Through ``coeffs_from_moments`` this is the extended-precision oracle
+    for :func:`theoretical_coeffs`.
     """
     m = tuple(int(v) for v in m)
     d = len(m)

@@ -8,8 +8,9 @@ function is ``K(t) = -sum_i alpha_i ln(1 - <s_i, t>)``.  Equivalently
 
 The module provides the cgf, the ``-1``-shifted cumulant and moment
 tensors, the Laguerre coefficients (a batched double kernel from the
-generating function of the basis and the extended-precision reference
-chain through the shifted moments), exact
+generating function of the basis, which every command uses, and the
+extended-precision reference chain through the shifted moments, which
+tests and benchmarks check it against), exact
 closed forms for the single-atom case (including its inversion), gamma
 series baselines and sampling.
 """
@@ -163,8 +164,11 @@ def shifted_cumulants(
     ``kappa_k = (|k| - 1)! sum_i alpha_i x_i^k`` with ``x`` the simplex
     scales.  ``kappa_0`` is evaluated from the raw scales as
     ``-sum_i alpha_i log1p(|s_i|)`` to avoid cancellation for tiny rows.
+    The box must have one axis per model dimension.
     """
     m = tuple(int(v) for v in m)
+    if len(m) != model.d:
+        raise ValueError(f"box has dimension {len(m)}, model {model.d}")
     with ctx.workprec():
         out = np.empty(box_shape(m), dtype=object)
         srows = [[mpf(v) for v in row] for row in model.scales]

@@ -2,10 +2,10 @@
 multi-index iteration shared by the other modules.
 
 Extended precision is a runtime parameter carried by a
-:class:`PrecisionContext`.  Only the reference coefficient chain
-(``model_coeffs``, ``thorin coeffs --bits``) and the projection moments
-use it, at 256 bits by default; fits, their reports and Monte-Carlo
-paths run in native doubles.
+:class:`PrecisionContext`.  Only the reference chain behind
+``model_coeffs`` and the shifted-moment quadrature use it, at 256 bits by
+default, as the oracles the double paths are tested against; every
+``thorin`` command runs in native doubles.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 import mpmath
-from mpmath import mpf
 
 MultiIndex = Tuple[int, ...]
 
 __all__ = [
     "PrecisionContext",
-    "DOUBLE",
     "COEFF_DEFAULT",
     "MultiIndex",
     "iterate_box",
@@ -52,22 +50,7 @@ class PrecisionContext:
         """mpmath context manager setting this precision."""
         return mpmath.workprec(self.bits)
 
-    def mpf(self, x) -> mpf:
-        """Convert ``x`` to an mpmath float at this precision."""
-        with mpmath.workprec(self.bits):
-            return mpf(x)
 
-    @property
-    def eps(self) -> mpf:
-        return mpf(2) ** (1 - self.bits)
-
-    @property
-    def digits(self) -> int:
-        """Approximate decimal digits carried by this precision."""
-        return int(self.bits * 0.3010299956639812)
-
-
-DOUBLE = PrecisionContext(53)
 COEFF_DEFAULT = PrecisionContext(256)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "bench_quantile",
     "bench_pdf",
     "bench_density_mp",
+    "bench_params",
     "BENCH_NAMES",
     "curious_cgf",
     "curious_cgf_discrete",
@@ -38,13 +39,25 @@ __all__ = [
 
 _EXACT_N_MAX = 10_000
 
-BENCH_NAMES = (
-    "lognormal",
-    "pareto",
-    "weibull",
-    "mln_gaussian",
-    "clayton_pareto_lognormal",
-)
+# the parameters of each benchmark with their defaults, and the domain of
+# each parameter name; every bench_* function reads its values from here
+_BENCH_DEFAULTS = {
+    "lognormal": {"mu": 0.0, "sigma": 0.83},
+    "pareto": {"k": 2.5, "xm": 1.0},
+    "weibull": {"k": 1.5},
+    "mln_gaussian": {"mu": 0.0, "sigma": 1.0, "rho": 0.5},
+    "clayton_pareto_lognormal": {"theta": 7.0, "k": 2.5, "xm": 1.0, "mu": 0.0, "sigma": 0.83},
+}
+_DOMAINS = {
+    "mu": ("finite", lambda v: True),
+    "sigma": ("> 0", lambda v: v > 0),
+    "k": ("> 0", lambda v: v > 0),
+    "xm": ("> 0", lambda v: v > 0),
+    "rho": ("in (-1, 1)", lambda v: abs(v) < 1),
+    "theta": ("> 0", lambda v: v > 0),
+}
+
+BENCH_NAMES = tuple(_BENCH_DEFAULTS)
 
 
 @dataclass
@@ -245,6 +258,26 @@ def resampled_pvalues(
 # benchmark distributions
 
 
+def bench_params(name: str, params: dict = None) -> dict:
+    """All parameters of a named benchmark: ``params`` over the defaults.
+
+    An unknown distribution or parameter name, or a value that is not
+    finite or lies outside its parameter's domain (``sigma, k, xm,
+    theta > 0``, ``|rho| < 1``), raises ``ValueError`` naming it.
+    """
+    if name not in _BENCH_DEFAULTS:
+        raise ValueError(f"unknown benchmark distribution: {name!r}")
+    p = dict(_BENCH_DEFAULTS[name])
+    for key, v in (params or {}).items():
+        if key not in p:
+            raise ValueError(f"{name} has no parameter {key!r} (it takes {', '.join(p)})")
+        text, inside = _DOMAINS[key]
+        if not (math.isfinite(v) and inside(v)):
+            raise ValueError(f"{name} parameter {key}={v} is outside its domain ({text})")
+        p[key] = v
+    return p
+
+
 def _pareto_q(p, k, xm):
     return xm * (1.0 - p) ** (-1.0 / k)
 
@@ -262,25 +295,20 @@ def bench_sampler(name: str, params: dict, N: int, seed: int) -> np.ndarray:
     if N < 1:
         raise ValueError("N must be >= 1")
     rng = np.random.default_rng(seed)
-    p = dict(params or {})
+    p = bench_params(name, params)
     if name == "lognormal":
-        mu, sigma = p.get("mu", 0.0), p.get("sigma", 0.83)
-        return np.exp(mu + sigma * rng.standard_normal(N))[:, None]
+        return np.exp(p["mu"] + p["sigma"] * rng.standard_normal(N))[:, None]
     if name == "pareto":
-        k, xm = p.get("k", 2.5), p.get("xm", 1.0)
-        return _pareto_q(rng.random(N), k, xm)[:, None]
+        return _pareto_q(rng.random(N), p["k"], p["xm"])[:, None]
     if name == "weibull":
-        k = p.get("k", 1.5)
-        return _weibull_q(rng.random(N), k)[:, None]
+        return _weibull_q(rng.random(N), p["k"])[:, None]
     if name == "mln_gaussian":
-        mu, sigma, rho = p.get("mu", 0.0), p.get("sigma", 1.0), p.get("rho", 0.5)
+        mu, sigma, rho = p["mu"], p["sigma"], p["rho"]
         z = rng.standard_normal((N, 2))
         y = np.column_stack([z[:, 0], rho * z[:, 0] + math.sqrt(1 - rho * rho) * z[:, 1]])
         return np.exp(mu + sigma * y)
     if name == "clayton_pareto_lognormal":
-        theta = p.get("theta", 7.0)
-        k, xm = p.get("k", 2.5), p.get("xm", 1.0)
-        mu, sigma = p.get("mu", 0.0), p.get("sigma", 0.83)
+        theta, k, xm, mu, sigma = (p[v] for v in ("theta", "k", "xm", "mu", "sigma"))
         # Marshall-Olkin frailty construction, then the survival
         # reflection moves Clayton's lower-tail clustering to the upper
         # tail
@@ -291,21 +319,20 @@ def bench_sampler(name: str, params: dict, N: int, seed: int) -> np.ndarray:
         return np.column_stack(
             [_pareto_q(V[:, 0], k, xm), _lognormal_q(V[:, 1], mu, sigma)]
         )
-    raise ValueError(f"unknown benchmark distribution: {name!r}")
 
 
 def bench_cdf(name: str, params: dict) -> Callable:
     """Analytic cdf of a univariate benchmark (the KS reference is always
     the true distribution, never a reconstruction)."""
-    p = dict(params or {})
+    p = bench_params(name, params)
     if name == "lognormal":
-        mu, sigma = p.get("mu", 0.0), p.get("sigma", 0.83)
+        mu, sigma = p["mu"], p["sigma"]
         return lambda x: ndtr((np.log(np.maximum(x, 1e-300)) - mu) / sigma)
     if name == "pareto":
-        k, xm = p.get("k", 2.5), p.get("xm", 1.0)
+        k, xm = p["k"], p["xm"]
         return lambda x: np.where(x < xm, 0.0, 1.0 - (xm / np.maximum(x, xm)) ** k)
     if name == "weibull":
-        k = p.get("k", 1.5)
+        k = p["k"]
         return lambda x: -np.expm1(-np.maximum(x, 0.0) ** k)
     raise ValueError(f"no univariate cdf for benchmark {name!r}")
 
@@ -315,9 +342,9 @@ def bench_pdf(name: str, params: dict):
     where it jumps: ``(pdf, jumps)``.  ``pdf`` takes one array per
     coordinate (broadcast against each other) and is zero off the support;
     the only jump is Pareto's at ``xm``."""
-    p = dict(params or {})
+    p = bench_params(name, params)
     if name == "lognormal":
-        mu, sigma = p.get("mu", 0.0), p.get("sigma", 0.83)
+        mu, sigma = p["mu"], p["sigma"]
         norm = sigma * math.sqrt(2.0 * math.pi)
 
         def ln_pdf(x):
@@ -327,7 +354,7 @@ def bench_pdf(name: str, params: dict):
 
         return ln_pdf, ()
     if name == "weibull":
-        k = p.get("k", 1.5)
+        k = p["k"]
 
         def wb_pdf(x):
             x = np.maximum(x, 0.0)
@@ -336,14 +363,14 @@ def bench_pdf(name: str, params: dict):
 
         return wb_pdf, ()
     if name == "pareto":
-        k, xm = p.get("k", 2.5), p.get("xm", 1.0)
+        k, xm = p["k"], p["xm"]
 
         def pa_pdf(x):
             return np.where(x < xm, 0.0, k * xm ** k / np.maximum(x, xm) ** (k + 1))
 
         return pa_pdf, (xm,)
     if name == "mln_gaussian":
-        mu, sigma, rho = p.get("mu", 0.0), p.get("sigma", 1.0), p.get("rho", 0.5)
+        mu, sigma, rho = p["mu"], p["sigma"], p["rho"]
         one_m_rho2 = 1.0 - rho * rho
         norm = 2.0 * math.pi * sigma * sigma * math.sqrt(one_m_rho2)
 
@@ -358,16 +385,13 @@ def bench_pdf(name: str, params: dict):
 
 
 def bench_quantile(name: str, params: dict) -> Callable:
-    p = dict(params or {})
+    p = bench_params(name, params)
     if name == "lognormal":
-        mu, sigma = p.get("mu", 0.0), p.get("sigma", 0.83)
-        return lambda q: _lognormal_q(q, mu, sigma)
+        return lambda q: _lognormal_q(q, p["mu"], p["sigma"])
     if name == "pareto":
-        k, xm = p.get("k", 2.5), p.get("xm", 1.0)
-        return lambda q: _pareto_q(q, k, xm)
+        return lambda q: _pareto_q(q, p["k"], p["xm"])
     if name == "weibull":
-        k = p.get("k", 1.5)
-        return lambda q: _weibull_q(q, k)
+        return lambda q: _weibull_q(q, p["k"])
     raise ValueError(f"no univariate quantile for benchmark {name!r}")
 
 
@@ -388,9 +412,9 @@ def _per_prec(make: Callable) -> Callable:
 def bench_density_mp(name: str, params: dict) -> Callable:
     """Arbitrary-precision density of a benchmark, for the projection
     path (the integrand must follow the working precision)."""
-    p = dict(params or {})
+    p = {k: mpf(v) for k, v in bench_params(name, params).items()}
     if name == "lognormal":
-        mu, sigma = mpf(p.get("mu", 0.0)), mpf(p.get("sigma", 0.83))
+        mu, sigma = p["mu"], p["sigma"]
 
         norm = _per_prec(lambda: sigma * mpmath.sqrt(2 * mpmath.pi))
 
@@ -402,7 +426,7 @@ def bench_density_mp(name: str, params: dict) -> Callable:
 
         return ln_pdf
     if name == "weibull":
-        k = mpf(p.get("k", 1.5))
+        k = p["k"]
 
         def wb_pdf(x):
             if x <= 0:
@@ -411,7 +435,7 @@ def bench_density_mp(name: str, params: dict) -> Callable:
 
         return wb_pdf
     if name == "pareto":
-        k, xm = mpf(p.get("k", 2.5)), mpf(p.get("xm", 1.0))
+        k, xm = p["k"], p["xm"]
 
         def pa_pdf(x):
             if x < xm:
@@ -420,11 +444,7 @@ def bench_density_mp(name: str, params: dict) -> Callable:
 
         return pa_pdf
     if name == "mln_gaussian":
-        mu, sigma, rho = (
-            mpf(p.get("mu", 0.0)),
-            mpf(p.get("sigma", 1.0)),
-            mpf(p.get("rho", 0.5)),
-        )
+        mu, sigma, rho = p["mu"], p["sigma"], p["rho"]
 
         consts = _per_prec(lambda: (
             1 - rho * rho, 2 * mpmath.pi * sigma * sigma * mpmath.sqrt(1 - rho * rho)

@@ -13,7 +13,7 @@ from thorin.estimator import (
     fit_empirical,
     loss_Lm,
     project_density,
-    theoretical_moments,
+    theoretical_coeffs,
 )
 from thorin.ggc import (
     GgcModel,
@@ -23,11 +23,11 @@ from thorin.ggc import (
     moschopoulos_density,
     sample,
 )
-from thorin.laguerre import CoeffTensor, coeffs_from_moments, density_grid
-from thorin.numkit import PrecisionContext, box_shape
+from thorin.laguerre import density_grid
+from thorin.numkit import box_shape
 from thorin.validate import (
     bench_cdf,
-    bench_density_mp,
+    bench_pdf,
     bench_sampler,
     curious_cgf,
     curious_cgf_discrete,
@@ -55,21 +55,15 @@ def test_A2_lognormal_projection_reference_parameters():
     """A2 log-normal projection matches the n=2 reference parameters"""
     t0 = time.perf_counter()
     m = (4,)  # 2n+1 basis functions for n=2
-    mu = theoretical_moments(
-        bench_density_mp("lognormal", {"mu": 0.0, "sigma": 0.83}),
-        m,
-        PrecisionContext(1024),
-    )
-    target = CoeffTensor(m, coeffs_from_moments(mu, m, PrecisionContext(1024)).as_float())
+    pdf, jumps = bench_pdf("lognormal", {"mu": 0.0, "sigma": 0.83})
+    target = theoretical_coeffs(pdf, m, jumps)
     loss_ref = loss_Lm(target, REFERENCE_N2, m)
     ref_alpha = np.array([0.5458, 2.4539])
     ref_scales = np.array([1.6283, 0.1999])
     hits = 0
     for seed in range(5):
-        cfg = FitConfig(
-            n=2, m=m, seed=seed, max_iters=2000, restarts=2, precision_bits=1024
-        )
-        rep = project_density(mu, cfg)
+        cfg = FitConfig(n=2, m=m, seed=seed, max_iters=2000, restarts=2)
+        rep = project_density(target, cfg)
         assert rep.loss <= 1.05 * loss_ref
         order = np.argsort(rep.model.alpha)
         al = rep.model.alpha[order]
@@ -204,12 +198,12 @@ def test_A8_ks_pvalue_calibration_lognormal_fit():
 
 def test_A9_weibull_parameters_stay_positive():
     """A9 projections and fits of the Weibull target keep positive parameters"""
-    wb_pdf = bench_density_mp("weibull", {"k": 1.5})
+    wb_pdf, jumps = bench_pdf("weibull", {"k": 1.5})
     data = bench_sampler("weibull", {"k": 1.5}, 20_000, seed=9)
     for n in (2, 4):
         m = (2 * n,)
-        mu = theoretical_moments(wb_pdf, m, PrecisionContext(256))
-        proj = project_density(mu, FitConfig(n=n, m=m, seed=1, max_iters=800, restarts=2))
+        target = theoretical_coeffs(wb_pdf, m, jumps)
+        proj = project_density(target, FitConfig(n=n, m=m, seed=1, max_iters=800, restarts=2))
         assert np.all(proj.model.alpha > 0)
         assert np.all(proj.model.scales > 0)
         fit = fit_empirical(data, FitConfig(n=n, m=m, seed=2, max_iters=800, restarts=2))

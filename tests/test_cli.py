@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +169,37 @@ class TestCoeffsAndWb:
             ct.a, model_coeffs(model, (5,)).coeffs.as_float(), rtol=1e-12, atol=1e-15
         )
 
+    def test_coeffs_of_a_fit_match_its_coeffs_json(self, tmp_path):
+        # one kernel: the command reproduces the fit's own coeffs.json
+        xs = sample(GgcModel([1.0, 1.5], [[1.0, 0.0], [0.5, 2.0]]), 2000, seed=23)
+        path = tmp_path / "biv.csv"
+        path.write_text("\n".join(f"{a:.17g},{b:.17g}" for a, b in xs) + "\n")
+        fit = tmp_path / "fit"
+        assert main(["fit", "--input", str(path), "--output", str(fit), "--n", "2",
+                     "--m", "4,4", "--seed", "1", "--iters", "5", "--restarts", "1",
+                     "--swarm", "40"]) == EXIT_OK
+        out = tmp_path / "coeffs.json"
+        rc = main(["coeffs", "--model", str(fit / "report.json"), "--m", "4,4",
+                   "--output", str(out)])
+        assert rc == EXIT_OK
+        assert out.read_bytes() == (fit / "coeffs.json").read_bytes()
+
+    def test_coeffs_box_of_wrong_dimension(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GgcModel([1.0, 2.0], [[1.0, 0.5], [0.2, 3.0]]).to_json())
+        rc = main(["coeffs", "--model", str(model_path), "--m", "3",
+                   "--output", str(tmp_path / "c.json")])
+        assert rc == EXIT_DATA
+        assert "dimension" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_coeffs_has_no_bits(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GgcModel([1.0], [[1.0]]).to_json())
+        rc = main(["coeffs", "--model", str(model_path), "--m", "5", "--bits", "256",
+                   "--output", str(tmp_path / "c.json")])
+        assert rc == EXIT_CONFIG
+
     def test_coeffs_requires_m(self, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text(GgcModel([1.0], [[1.0]]).to_json())
@@ -230,6 +262,16 @@ class TestValidateCmd:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["B"] == 4 and summary["N"] == 500
 
+    @pytest.mark.parametrize("flag", ["--N", "--B"])
+    def test_zero_count_is_config_error(self, tmp_path, flag):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GgcModel([1.0], [[1.0]]).to_json())
+        out = tmp_path / "val"
+        rc = main(["validate", "--model", str(model_path), "--target", "lognormal",
+                   flag, "0", "--output", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+
     def test_unknown_target(self, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text(GgcModel([1.0], [[1.0]]).to_json())
@@ -254,6 +296,46 @@ class TestBench:
     def test_unknown_bench(self, tmp_path):
         rc = main(["bench", "--name", "nope", "--N", "10", "--output", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
+
+
+# (distribution, --params, the key the error must name)
+_BAD_PARAMS = [
+    ("lognormal", "sgima=5", "sgima"),
+    ("lognormal", "mu=0,sigma=-0.83", "sigma"),
+    ("lognormal", "mu=nan", "mu"),
+    ("pareto", "k=-1", "k"),
+    ("pareto", "xm=0", "xm"),
+    ("weibull", "k=inf", "k"),
+    ("mln_gaussian", "rho=1", "rho"),
+    ("clayton_pareto_lognormal", "theta=0", "theta"),
+]
+
+
+def _bad_param_runs():
+    for name, params, key in _BAD_PARAMS:
+        yield "bench", ["bench", "--name", name, "--N", "10"], params, key
+        if name != "clayton_pareto_lognormal":
+            yield "project", ["project", "--density", name, "--n", "1"], params, key
+        if name in ("lognormal", "pareto", "weibull"):
+            yield "validate", ["validate", "--target", name, "--N", "10", "--B", "1"], params, key
+
+
+class TestDistributionParameters:
+    @pytest.mark.parametrize(
+        "argv, params, key",
+        [pytest.param(argv, params, key, id=f"{cmd}-{argv[2]}-{params}")
+         for cmd, argv, params, key in _bad_param_runs()],
+    )
+    def test_unknown_or_out_of_domain_is_config_error(self, tmp_path, capsys, argv, params, key):
+        if argv[0] == "validate":
+            model_path = tmp_path / "model.json"
+            model_path.write_text(GgcModel([1.0], [[1.0]]).to_json())
+            argv = argv + ["--model", str(model_path)]
+        out = tmp_path / "out"
+        assert main(argv + ["--params", params, "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{key}=" in err or repr(key) in err, err
+        assert not out.exists()
 
 
 class TestProject:
@@ -342,6 +424,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "thorin" in proc.stdout
+
+    def test_readme_command_lines_parse(self):
+        # every documented command line is one the parser accepts
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(ln) for ln in block.splitlines() if ln.startswith("thorin ")]
+        parser = cli._build_parser()
+        for argv in lines:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command line does not parse: {' '.join(argv)}")
+        modes = parser._subparsers._group_actions[0].choices
+        assert {argv[1] for argv in lines} == set(modes)
 
     def test_import_loads_no_heavy_scipy_module(self):
         # start-up cost: the library needs only scipy.special

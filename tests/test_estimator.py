@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from mpmath import mpf
+from scipy.special import gammaln
 
 from thorin.estimator import (
     FitConfig,
@@ -188,36 +189,30 @@ class TestProjectDensity:
     def test_self_projection_recovers_member(self):
         model = GgcModel([1.0, 2.0], [[0.5], [3.0]])
         m = (4,)
-        mu = model_coeffs(model, m).shifted.mu
         cfg = FitConfig(n=2, m=m, seed=1, max_iters=2000, restarts=3)
-        rep = project_density(mu, cfg)
+        rep = project_density(model_coeffs(model, m).coeffs, cfg)
         assert rep.loss < 1e-12
 
     def test_weibull_projection_positive_outside_class(self):
-        from thorin.validate import bench_density_mp
-
         m = (6,)
-        mu = theoretical_moments(
-            bench_density_mp("weibull", {"k": 1.5}), m, PrecisionContext(128)
-        )
-        cfg = FitConfig(n=3, m=m, seed=2, max_iters=800, restarts=2, precision_bits=128)
-        rep = project_density(mu, cfg)
+        pdf, jumps = bench_pdf("weibull", {"k": 1.5})
+        cfg = FitConfig(n=3, m=m, seed=2, max_iters=800, restarts=2)
+        rep = project_density(theoretical_coeffs(pdf, m, jumps), cfg)
         assert np.all(rep.model.alpha > 0)
         assert np.all(rep.model.scales.sum(axis=1) > 0)
         assert rep.loss > 1e-10  # the target lies outside the class
 
-    def test_moment_box_mismatch(self):
-        with pytest.raises(ValueError):
-            project_density(np.zeros((3,)), FitConfig(n=1, m=(4,)))
-
     def test_coefficient_target_runs_in_doubles(self):
+        # an mpf target is rounded to doubles first: the run is the one
+        # its float copy gives, bit for bit
         model = GgcModel([1.0, 2.0], [[0.5], [3.0]])
         m = (4,)
-        cfg = FitConfig(n=2, m=m, seed=1, max_iters=300, restarts=1, precision_bits=512)
-        rep = project_density(model_coeffs(model, m).coeffs, cfg)
-        ref = project_density(model_coeffs(model, m).shifted.mu, cfg)
-        assert rep.bits_used == 53 and ref.bits_used == 512
-        assert rep.loss == pytest.approx(ref.loss, abs=1e-20)
+        cfg = FitConfig(n=2, m=m, seed=1, max_iters=300, restarts=1)
+        exact = model_coeffs(model, m).coeffs
+        rep = project_density(exact, cfg)
+        ref = project_density(CoeffTensor(m, exact.as_float()), cfg)
+        assert rep.bits_used == 53
+        assert rep.to_dict() == ref.to_dict()
         with pytest.raises(ValueError):
             project_density(CoeffTensor((3,), np.zeros(4)), cfg)
 
@@ -267,6 +262,24 @@ class TestTheoreticalCoeffs:
         ref = _moment_chain_coeffs("mln_gaussian", params, (2, 2), 64)
         pdf, jumps = bench_pdf("mln_gaussian", dict(params))
         assert np.abs(theoretical_coeffs(pdf, (2, 2), jumps).a - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("m", [(6, 2), (2, 6)])
+    def test_bivariate_non_square_box_matches_model(self, m):
+        # independent margins of different law, so a transposed
+        # Phi_1 F Phi_2^T cannot pass
+        model = GgcModel([2.0, 3.0], [[0.7, 0.0], [0.0, 1.9]])
+
+        def log_gamma_pdf(x, shape, scale):
+            x = np.maximum(x, 1e-300)
+            return (shape - 1) * np.log(x) - x / scale - gammaln(shape) - shape * math.log(scale)
+
+        def pdf(x, y):
+            return np.exp(log_gamma_pdf(x, 2.0, 0.7) + log_gamma_pdf(y, 3.0, 1.9))
+
+        ref = model_coeffs(model, m).coeffs.as_float()
+        got = theoretical_coeffs(pdf, m)
+        assert got.a.shape == ref.shape
+        assert np.abs(got.a - ref).max() <= 1e-15
 
     def test_undeclared_jump_raises_with_achieved_tolerance(self):
         pdf, _ = bench_pdf("pareto", {"k": 2.5, "xm": 2.0})

@@ -128,6 +128,13 @@ class TestShiftedCumulants:
         kap = shifted_cumulants(m, (1, 1))
         assert float(kap[(1, 1)]) == pytest.approx(1.0 / 9.0, rel=1e-14)
 
+    @pytest.mark.parametrize("m", [(3,), (1, 1, 1)])
+    def test_box_of_wrong_dimension(self, m):
+        # kappa_0 sums whole rows, so a box over some of the axes would
+        # mix the model with its marginal
+        with pytest.raises(ValueError, match="dimension"):
+            shifted_cumulants(GgcModel([1.0, 2.0], [[1.0, 0.5], [0.2, 3.0]]), m)
+
     def test_against_finite_differences_of_cgf(self):
         # central differences of the defining cgf at t = -1, taken in
         # extended precision, confirm the atomic formula for |k| <= 3
@@ -202,6 +209,11 @@ class TestCumulantsToMoments:
 
 
 class TestModelCoeffs:
+    @pytest.mark.parametrize("m", [(3,), (1, 1, 1)])
+    def test_box_of_wrong_dimension(self, m):
+        with pytest.raises(ValueError, match="dimension"):
+            model_coeffs(GgcModel([1.0, 2.0], [[1.0, 0.5], [0.2, 3.0]]), m)
+
     def test_unit_exponential_is_single_mode(self):
         mc = model_coeffs(GgcModel([1.0], [[1.0]]), (5,))
         a = mc.coeffs.as_float().ravel()

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thorin.numkit import (
-    COEFF_DEFAULT,
-    DOUBLE,
     PrecisionContext,
     binom_prod,
     box_size,
@@ -89,14 +87,10 @@ class TestPrecisionContext:
         a = rng.uniform(-1e6, 1e6, 200)
         b = rng.uniform(-1e6, 1e6, 200)
         b[np.abs(b) < 1e-3] = 1.0
-        with DOUBLE.workprec():
+        with PrecisionContext(53).workprec():
             for x, y in zip(a, b):
                 mx, my = mpmath.mpf(x), mpmath.mpf(y)
                 assert float(mx + my) == x + y
                 assert float(mx - my) == x - y
                 assert float(mx * my) == x * y
                 assert float(mx / my) == x / y
-
-    def test_digits(self):
-        assert DOUBLE.digits == 15
-        assert COEFF_DEFAULT.digits == 77
