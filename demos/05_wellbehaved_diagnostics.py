@@ -14,8 +14,8 @@ from thorin import (
     classify_dependence,
     decay_check,
     disc_image,
+    float_coeffs,
     is_eps_wb,
-    model_coeffs,
 )
 
 cases = {
@@ -49,7 +49,7 @@ for b in (0.5, 2.0):
 print()
 model = GgcModel([0.5458, 2.4539], [[1.6283], [0.1999]])
 rep = best_eps(model)
-ct = model_coeffs(model, (40,)).coeffs
+ct = float_coeffs(model, (40,))
 B, ok = decay_check(ct, rep.best_eps / 2.0)
 print(f"two-atom fit: margin {rep.best_eps:.4f}, decay envelope B={B:.4f}, ok={ok}")
 print("dependence:", classify_dependence(model).kind)

@@ -63,7 +63,6 @@ from .estimator import (
 from .validate import (
     KsResult,
     ks_exact,
-    kolmogorov_sf,
     qq_points,
     resampled_pvalues,
     bench_sampler,

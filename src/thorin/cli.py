@@ -30,7 +30,6 @@ from .estimator import (
 from .ggc import GgcModel, float_coeffs, sample
 from .ggc import model_coeffs  # noqa: F401  looked up by benchmarks/worker.py's span tracing
 from .validate import (
-    BENCH_NAMES,
     bench_cdf,
     bench_params,
     bench_pdf,
@@ -123,83 +122,75 @@ def _parse_kv(text: str) -> dict:
             continue
         if "=" not in item:
             raise ConfigError(f"expected key=value, got {item!r}")
-        k, v = item.split("=", 1)
+        k, v = (part.strip() for part in item.split("=", 1))
+        if k in out:
+            raise ConfigError(f"parameter {k!r} is given twice")
         try:
-            out[k.strip()] = float(v)
+            out[k] = float(v)
         except ValueError:
             raise ConfigError(f"non-numeric parameter value in {item!r}")
     return out
 
 
 def _bench_params(name: str, text: str) -> dict:
-    """``--params`` of a benchmark over its defaults; an unknown key or a
-    value outside its domain is a config error."""
+    """``--params`` of a benchmark over its defaults; an unknown name or
+    key, or a value outside its domain, is a config error."""
     try:
         return bench_params(name, _parse_kv(text))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-def _load_config_file(path: str) -> dict:
+def _box(text: str) -> tuple:
+    """``--m``, the box: a comma list of integers >= 0, e.g. ``20,20``."""
+    try:
+        m = tuple(int(v) for v in text.split(",") if v.strip())
+        if m and min(m) >= 0:
+            return m
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a comma list of integers >= 0, got {text!r}")
+
+
+def _config_argv(path: str) -> list:
+    """A config file as ``--key=value`` tokens: a JSON object, or
+    ``key=value`` lines with ``#`` comments.  Keys are the command's flags
+    spelled in full; a JSON list becomes a comma list, as ``--m`` takes."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     text = p.read_text().strip()
     if text.startswith("{"):
         try:
-            return json.loads(text)
+            conf = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON config ({exc})")
-    out = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if "=" not in ln:
-            raise ConfigError(f"{path}: expected key=value line, got {ln!r}")
-        k, v = ln.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
-
-
-def _merged(args, keys):
-    """Config-file values overridden by explicitly passed flags; the file
-    may set only those of ``keys`` that are flags of the command."""
-    keys = [k for k in keys if hasattr(args, k)]
-    conf = _load_config_file(args.config) if args.config else {}
-    unknown = sorted(set(conf) - set(keys))
-    if unknown:
-        raise ConfigError(f"{args.config}: {args.mode} takes no config key(s) {', '.join(unknown)}")
-    out = {k: conf[k] for k in keys if k in conf}
-    out.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
-    return out
+        items = [(k, ",".join(map(str, v)) if isinstance(v, list) else str(v))
+                 for k, v in conf.items()]
+    else:
+        items = []
+        for ln in text.splitlines():
+            ln = ln.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            if "=" not in ln:
+                raise ConfigError(f"{path}: expected key=value line, got {ln!r}")
+            items.append(tuple(part.strip() for part in ln.split("=", 1)))
+    return [f"--{k}={v}" for k, v in items]
 
 
 def _fit_config(args) -> FitConfig:
-    vals = _merged(
-        args, ["n", "m", "swarm", "iters", "restarts", "seed", "bits"]
-    )
-    if "n" not in vals:
+    """The search settings given as flags; ``FitConfig`` holds the defaults."""
+    if args.n is None:
         raise ConfigError("--n is required")
-    if "bits" in vals:
+    if getattr(args, "bits", None) is not None:
         print(f"thorin {args.mode}: --bits has no effect, the projection target is "
               "computed in doubles", file=sys.stderr)
+    given = {"m": args.m, "swarm_size": args.swarm, "max_iters": args.iters,
+             "restarts": args.restarts}
     try:
-        m = vals.get("m")
-        if isinstance(m, str):
-            m = tuple(int(v) for v in m.split(",") if v.strip())
-        elif isinstance(m, (list, tuple)):
-            m = tuple(int(v) for v in m)
-        elif m is not None:
-            m = (int(m),)
-        return FitConfig(
-            n=int(vals["n"]),
-            m=m,
-            swarm_size=int(vals["swarm"]) if "swarm" in vals else None,
-            max_iters=int(vals.get("iters", 2000)),
-            seed=int(vals.get("seed", 0)),
-            restarts=int(vals.get("restarts", 3)),
-        )
+        return FitConfig(n=args.n, seed=args.seed,
+                         **{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -225,8 +216,6 @@ def cmd_fit(args) -> int:
 
 def cmd_project(args) -> int:
     name = args.density
-    if name not in BENCH_NAMES:
-        raise ConfigError(f"unknown density {name!r}; choose from {BENCH_NAMES}")
     if name == "clayton_pareto_lognormal":
         raise ConfigError("no formal density available for the Clayton benchmark")
     params = _bench_params(name, args.params)
@@ -247,7 +236,7 @@ def cmd_sample(args) -> int:
     model = _load_model(args.model)
     if args.N is None or args.N < 1:
         raise ConfigError("sample size N must be >= 1")
-    xs = sample(model, args.N, args.seed or 0)
+    xs = sample(model, args.N, args.seed)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, xs)
@@ -257,12 +246,9 @@ def cmd_sample(args) -> int:
 
 def cmd_coeffs(args) -> int:
     model = _load_model(args.model)
-    m = tuple(int(v) for v in args.m.split(",")) if args.m else None
-    if m is None:
-        raise ConfigError("--m is required for coeffs")
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(float_coeffs(model, m).to_json() + "\n")
+    out.write_text(float_coeffs(model, args.m).to_json() + "\n")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -293,7 +279,7 @@ def cmd_validate(args) -> int:
     if N < 1 or B < 1:
         raise ConfigError("sample size N and replicate count B must be >= 1")
     cdf = bench_cdf(args.target, params)
-    pv = resampled_pvalues(model, cdf, N, B, args.seed or 0)
+    pv = resampled_pvalues(model, cdf, N, B, args.seed)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "pvalues.csv", pv[:, None], header="p_value")
@@ -302,7 +288,7 @@ def cmd_validate(args) -> int:
         "params": params,
         "N": N,
         "B": B,
-        "seed": args.seed or 0,
+        "seed": args.seed,
         "frac_below_0.05": float((pv < 0.05).mean()),
         "min_p": float(pv.min()),
         "median_p": float(np.median(pv)),
@@ -314,11 +300,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.name not in BENCH_NAMES:
-        raise ConfigError(f"unknown benchmark {args.name!r}; choose from {BENCH_NAMES}")
+    params = _bench_params(args.name, args.params)
     if args.N is None or args.N < 1:
         raise ConfigError("sample size N must be >= 1")
-    xs = bench_sampler(args.name, _bench_params(args.name, args.params), args.N, args.seed or 0)
+    xs = bench_sampler(args.name, params, args.N, args.seed)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, xs)
@@ -331,28 +316,31 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="thorin",
         description="Laguerre expansions and estimation of multivariate "
         "gamma-convolution models",
+        allow_abbrev=False,
     )
     ap.add_argument("--version", action="version", version=f"thorin {__version__}")
     sub = ap.add_subparsers(dest="mode", required=True)
 
-    def common(p, fit=False):
-        p.add_argument("--seed", type=int, default=None)
+    def command(name, func, help, fit=False):
+        # no abbreviated flags: a config key is a flag spelled in full
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--seed", type=int, default=0)
         if fit:
-            p.add_argument("--config", help="JSON or key=value config file")
+            p.add_argument("--config", help="JSON or key=value file of this command's "
+                           "flags; the command line's own flags win")
             p.add_argument("--n", type=int, default=None)
-            p.add_argument("--m", type=str, default=None, help="comma list, e.g. 20,20")
+            p.add_argument("--m", type=_box, default=None, help="comma list, e.g. 20,20")
             p.add_argument("--swarm", type=int, default=None)
             p.add_argument("--iters", type=int, default=None)
             p.add_argument("--restarts", type=int, default=None)
+        return p
 
-    p = sub.add_parser("fit", help="fit a model to CSV observations")
-    common(p, fit=True)
+    p = command("fit", cmd_fit, "fit a model to CSV observations", fit=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("project", help="project a formal density onto the class")
-    common(p, fit=True)
+    p = command("project", cmd_project, "project a formal density onto the class", fit=True)
     # kept, with the bits config key, because the benchmark's project-1d
     # workload (benchmarks/run.py, run through benchmarks/worker.py) passes --bits 512
     p.add_argument("--bits", type=int, default=None,
@@ -360,57 +348,54 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", required=True)
     p.add_argument("--params", default="", help="e.g. mu=0,sigma=0.83")
     p.add_argument("--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("sample", help="draw samples from a model JSON")
-    common(p)
+    p = command("sample", cmd_sample, "draw samples from a model JSON")
     p.add_argument("--model", required=True)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--output", required=True, help="output CSV")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("coeffs", help="Laguerre coefficients of a model JSON")
-    common(p)
+    p = command("coeffs", cmd_coeffs, "Laguerre coefficients of a model JSON")
     p.add_argument("--model", required=True)
-    p.add_argument("--m", type=str, default=None)
+    p.add_argument("--m", type=_box, required=True, help="comma list, e.g. 20,20")
     p.add_argument("--output", required=True, help="output JSON")
-    p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("check-wb", help="well-behavedness diagnostics")
-    common(p)
+    p = command("check-wb", cmd_check_wb, "well-behavedness diagnostics")
     p.add_argument("--model", required=True)
     p.add_argument("--output", required=True, help="output JSON")
-    p.set_defaults(func=cmd_check_wb)
 
-    p = sub.add_parser("validate", help="resampled KS p-values against a benchmark")
-    common(p)
+    p = command("validate", cmd_validate, "resampled KS p-values against a benchmark")
     p.add_argument("--model", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--params", default="")
     p.add_argument("--N", type=int, default=10_000)
     p.add_argument("--B", type=int, default=50)
     p.add_argument("--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("bench", help="sample a benchmark distribution")
-    common(p)
+    p = command("bench", cmd_bench, "sample a benchmark distribution")
     p.add_argument("--name", required=True)
     p.add_argument("--params", default="")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--output", required=True, help="output CSV")
-    p.set_defaults(func=cmd_bench)
     return ap
 
 
-def main(argv=None) -> int:
+def _parse_args(argv: list) -> argparse.Namespace:
+    """One parse of the command line; with ``--config`` the file's values
+    are parsed as flags placed before the command line's, so those win."""
     ap = _build_parser()
+    args = ap.parse_args(argv)
+    if getattr(args, "config", None):
+        args = ap.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; map that to the config code
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

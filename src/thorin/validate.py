@@ -23,7 +23,6 @@ from .ggc import GgcModel, sample
 __all__ = [
     "KsResult",
     "ks_exact",
-    "kolmogorov_sf",
     "qq_points",
     "resampled_pvalues",
     "bench_sampler",
@@ -36,8 +35,6 @@ __all__ = [
     "curious_cgf",
     "curious_cgf_discrete",
 ]
-
-_EXACT_N_MAX = 10_000
 
 # the parameters of each benchmark with their defaults, and the domain of
 # each parameter name; every bench_* function reads its values from here
@@ -65,21 +62,6 @@ class KsResult:
     d_stat: float
     p_value: float
     n: int
-
-
-def kolmogorov_sf(lam: float) -> float:
-    """Kolmogorov limiting survival function
-    ``Q(lam) = 2 sum_j (-1)^{j-1} exp(-2 j^2 lam^2)``."""
-    if lam <= 0:
-        return 1.0
-    total, sign = 0.0, 1.0
-    for j in range(1, 200):
-        term = math.exp(-2.0 * j * j * lam * lam)
-        total += sign * term
-        if term <= 1e-18 * max(total, 1e-300):
-            break
-        sign = -sign
-    return min(max(2.0 * total, 0.0), 1.0)
 
 
 def _log_nfact_over_nn(n: int) -> float:
@@ -190,8 +172,8 @@ def _ks_sf(n: int, d: float) -> float:
 def ks_exact(samples, cdf: Callable) -> KsResult:
     """One-sample two-sided Kolmogorov-Smirnov test.
 
-    ``D`` comes from the order statistics. Up to N = 10^4 the p-value is
-    the exact finite-sample tail ``_ks_sf``, with the region choice of
+    ``D`` comes from the order statistics. At every N the p-value is the
+    exact finite-sample tail ``_ks_sf``, with the region choice of
     Simard & L'Ecuyer (2011, J. Stat. Softw. 39(11)):
 
     - Ruben & Gambino's (1982) closed forms for ``N D <= 1`` and
@@ -201,10 +183,6 @@ def ks_exact(samples, cdf: Callable) -> KsResult:
     - the Pelz & Good (1976) expansion in the middle for N > 140;
     - twice the one-sided Smirnov tail, by the Birnbaum & Tingey (1951)
       sum, in the upper tail.
-
-    Above N = 10^4 it is a finite-N-corrected Kolmogorov series (the
-    correction keeps the two branches within ~1e-6 of each other at the
-    switch point).
     """
     xs = np.sort(np.asarray(samples, dtype=float).ravel())
     N = xs.size
@@ -212,13 +190,7 @@ def ks_exact(samples, cdf: Callable) -> KsResult:
     steps = np.arange(1, N + 1) / N
     D = float(max((steps - F).max(), (F - steps + 1.0 / N).max()))
     D = min(max(D, 0.0), 1.0)
-    if N <= _EXACT_N_MAX:
-        p = _ks_sf(N, D)
-    else:
-        rtn = math.sqrt(N)
-        lam = D * rtn + 1.0 / (6.0 * rtn) + (D * rtn - 1.0) / (4.0 * N)
-        p = kolmogorov_sf(lam)
-    return KsResult(D, min(max(p, 0.0), 1.0), N)
+    return KsResult(D, min(max(_ks_sf(N, D), 0.0), 1.0), N)
 
 
 def qq_points(samples, quantile_fn: Callable, count: int, drop_tail: int = 0):
@@ -266,7 +238,8 @@ def bench_params(name: str, params: dict = None) -> dict:
     theta > 0``, ``|rho| < 1``), raises ``ValueError`` naming it.
     """
     if name not in _BENCH_DEFAULTS:
-        raise ValueError(f"unknown benchmark distribution: {name!r}")
+        raise ValueError(f"unknown benchmark distribution {name!r}; "
+                         f"choose from {', '.join(_BENCH_DEFAULTS)}")
     p = dict(_BENCH_DEFAULTS[name])
     for key, v in (params or {}).items():
         if key not in p:

@@ -111,16 +111,52 @@ class TestFit:
         assert report["n"] == 1
         assert report["seed"] == 12  # flag wins over the file
 
-    @pytest.mark.parametrize("line", ["floor=1e-9", "bits=512"])
+    @pytest.mark.parametrize("line", ["floor=1e-9", "bits=512", "it=50"])
     def test_config_key_without_fit_flag_is_config_error(self, tmp_path, gamma_csv, capsys, line):
-        # --floor is gone and fit has no --bits: neither key may be ignored
+        # --floor is gone, fit has no --bits and flags are never abbreviated
+        # (it is not --iters): no such key may be ignored
         conf = tmp_path / "fit.conf"
         conf.write_text(f"n=1\nm=2\n{line}\n")
         rc = main(["fit", "--config", str(conf), "--input", str(gamma_csv),
                    "--output", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         key = line.split("=")[0]
-        assert key in capsys.readouterr().err.rsplit(":", 1)[-1]  # named after the path
+        assert key in capsys.readouterr().err.rsplit(":", 1)[-1]  # the rejected flag, named last
+
+    def test_json_key_value_and_flags_give_the_same_report(self, tmp_path, gamma_csv):
+        flags = {"n": "1", "m": "2", "iters": "20", "restarts": "1", "seed": "5"}
+        conf_kv = tmp_path / "fit.conf"
+        conf_kv.write_text("# a comment\n" + "".join(f"{k} = {v}\n" for k, v in flags.items()))
+        conf_json = tmp_path / "fit.json"
+        conf_json.write_text(json.dumps({"n": 1, "m": [2], "iters": 20, "restarts": 1, "seed": 5}))
+        runs = {
+            "flags": [t for k, v in flags.items() for t in (f"--{k}", v)],
+            "kv": ["--config", str(conf_kv)],
+            "json": ["--config", str(conf_json)],
+        }
+        for name, extra in runs.items():
+            rc = main(["fit", "--input", str(gamma_csv), "--output", str(tmp_path / name)] + extra)
+            assert rc == EXIT_OK, name
+        reports = {name: (tmp_path / name / "report.json").read_bytes() for name in runs}
+        assert reports["kv"] == reports["flags"] == reports["json"]
+
+    def test_abbreviated_flag_is_config_error(self, tmp_path, gamma_csv):
+        rc = main(["fit", "--input", str(gamma_csv), "--output", str(tmp_path / "o"),
+                   "--n", "1", "--it", "50"])
+        assert rc == EXIT_CONFIG
+
+    def test_json_non_integer_is_config_error(self, tmp_path, gamma_csv):
+        conf = tmp_path / "fit.json"
+        conf.write_text('{"n": 1.5, "m": [2]}')
+        rc = main(["fit", "--config", str(conf), "--input", str(gamma_csv),
+                   "--output", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    def test_box_with_non_integer_entry_is_config_error(self, tmp_path, gamma_csv):
+        rc = main(["fit", "--input", str(gamma_csv), "--output", str(tmp_path / "o"),
+                   "--n", "1", "--m", "2,x"])
+        assert rc == EXIT_CONFIG
 
 
 class TestSample:
@@ -199,6 +235,16 @@ class TestCoeffsAndWb:
         rc = main(["coeffs", "--model", str(model_path), "--m", "5", "--bits", "256",
                    "--output", str(tmp_path / "c.json")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("box, rc", [("3,", EXIT_OK), ("-1", EXIT_CONFIG)])
+    def test_coeffs_box_syntax_as_fit(self, tmp_path, box, rc):
+        # --m is read by the same parser as fit's, trailing comma included
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GgcModel([1.0], [[1.0]]).to_json())
+        out = tmp_path / "c.json"
+        assert main(["coeffs", "--model", str(model_path), "--m", box,
+                     "--output", str(out)]) == rc
+        assert out.exists() == (rc == EXIT_OK)
 
     def test_coeffs_requires_m(self, tmp_path):
         model_path = tmp_path / "model.json"
@@ -293,9 +339,11 @@ class TestBench:
             assert rc == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unknown_bench(self, tmp_path):
+    def test_unknown_bench(self, tmp_path, capsys):
         rc = main(["bench", "--name", "nope", "--N", "10", "--output", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'nope'" in err and all(name in err for name in validate.BENCH_NAMES)
 
 
 # (distribution, --params, the key the error must name)
@@ -303,6 +351,7 @@ _BAD_PARAMS = [
     ("lognormal", "sgima=5", "sgima"),
     ("lognormal", "mu=0,sigma=-0.83", "sigma"),
     ("lognormal", "mu=nan", "mu"),
+    ("lognormal", "mu=0,mu=5", "mu"),
     ("pareto", "k=-1", "k"),
     ("pareto", "xm=0", "xm"),
     ("weibull", "k=inf", "k"),
@@ -405,6 +454,12 @@ class TestProject:
         report = json.loads((tmp_path / "a" / "report.json").read_text())
         assert report["bits_used"] == 53
 
+    def test_unknown_density_lists_the_names(self, tmp_path, capsys):
+        rc = main(["project", "--density", "nope", "--n", "1", "--output", str(tmp_path / "p")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'nope'" in err and all(name in err for name in validate.BENCH_NAMES)
+
     def test_clayton_has_no_formal_density(self, tmp_path):
         rc = main(
             ["project", "--density", "clayton_pareto_lognormal", "--n", "1",
@@ -461,3 +516,25 @@ class TestBenchmarkTraceContract:
             module = importlib.import_module(module_name)
             for attr in attrs:
                 assert callable(getattr(module, attr)), (module_name, attr)
+
+    def test_benchmark_command_lines_parse(self, tmp_path):
+        # every command a benchmark pass runs is one the parser accepts, so
+        # a CLI change cannot break a workload unseen
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
+        spec = importlib.util.spec_from_file_location("benchmark_run", path)
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        parser = cli._build_parser()
+        assert set(run.WORKLOADS) >= {"fit-2d", "project-1d"}
+        for name, build in run.WORKLOADS.items():
+            work = tmp_path / name
+            work.mkdir()
+            plan = build(work, 1, True)
+            for pass_no in (0, 1):
+                for step in plan.steps(pass_no):
+                    argv = [str(a).format(out=work / "out", model=work / "model.json")
+                            for a in step.argv]
+                    try:
+                        parser.parse_args(argv)
+                    except SystemExit:
+                        pytest.fail(f"{name} runs a command that does not parse: {argv}")

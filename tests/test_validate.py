@@ -18,7 +18,6 @@ from thorin.validate import (
     bench_sampler,
     curious_cgf,
     curious_cgf_discrete,
-    kolmogorov_sf,
     ks_exact,
     qq_points,
     resampled_pvalues,
@@ -53,21 +52,15 @@ class TestKsExact:
         assert res.d_stat == pytest.approx(0.25, abs=0.02)
         assert res.p_value < 1e-6
 
-    def test_exact_matches_asymptotic_series_at_cutover(self):
-        N = 10_000
-        rtn = math.sqrt(N)
-        for lam in np.arange(0.5, 2.01, 0.1):
-            D = lam / rtn
-            exact = float(kstwo.sf(D, N))
-            corrected = kolmogorov_sf(D * rtn + 1 / (6 * rtn) + (D * rtn - 1) / (4 * N))
-            assert abs(exact - corrected) <= 1e-3
-
     def test_large_sample_branch(self):
         rng = np.random.default_rng(2)
         xs = rng.exponential(1.0, 20_000)
         res = ks_exact(xs, lambda x: -np.expm1(-x))
         assert 0.0 <= res.p_value <= 1.0
         assert res.n == 20_000
+        # exact above N = 10^4 as well
+        ref = float(kstwo.sf(res.d_stat, 20_000))
+        assert abs(res.p_value - ref) <= 1e-9 * ref + 1e-14
 
 
 def _ks_sf_grid(n):
@@ -81,7 +74,7 @@ def _ks_sf_grid(n):
 
 
 class TestKsSf:
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 140, 141, 1000, 10_000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 140, 141, 1000, 10_000, 20_000, 100_000])
     def test_matches_scipy_kstwo(self, n):
         for d in _ks_sf_grid(n):
             ref = float(kstwo.sf(d, n))
