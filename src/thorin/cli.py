@@ -54,7 +54,9 @@ class ConfigError(Exception):
 
 def _read_csv(path: str) -> np.ndarray:
     """Comma-separated numeric columns, '.' decimals, optional single
-    header row (auto-detected by a non-numeric first row)."""
+    header row (auto-detected by a non-numeric first row).  Blank lines
+    are skipped; rows are numbered over the non-blank lines, header
+    included."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"input file not found: {path}")
@@ -67,36 +69,23 @@ def _read_csv(path: str) -> np.ndarray:
         [float(v) for v in lines[0].split(",")]
     except ValueError:
         start = 1
-    rows = []
-    for i, ln in enumerate(lines[start:], start=start + 1):
-        cells = ln.split(",")
-        row = []
-        for j, cell in enumerate(cells, start=1):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: non-numeric value at row {i}, column {j}")
-            if not np.isfinite(v):
-                raise DataError(f"{path}: non-finite value at row {i}, column {j}")
-            if v < 0:
-                raise DataError(f"{path}: negative value at row {i}, column {j}")
-            row.append(v)
-        rows.append(row)
-    if not rows:
+    if start == len(lines):
         raise DataError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return np.asarray(rows, dtype=float)
+    try:
+        arr = np.loadtxt(lines[start:], delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}")
+    bad = np.argwhere(~np.isfinite(arr) | (arr < 0))
+    if bad.size:
+        i, j = bad[0]
+        kind = "negative" if np.isfinite(arr[i, j]) else "non-finite"
+        raise DataError(f"{path}: {kind} value at row {start + i + 1}, column {j + 1}")
+    return arr
 
 
 def _write_csv(path: Path, arr: np.ndarray, header: str = None):
-    arr = np.atleast_2d(arr)
-    with open(path, "w") as fh:
-        if header:
-            fh.write(header + "\n")
-        for row in arr:
-            fh.write(",".join(f"{v:.17g}" for v in np.atleast_1d(row)) + "\n")
+    np.savetxt(path, np.atleast_2d(arr), fmt="%.17g", delimiter=",",
+               header=header or "", comments="")
 
 
 def _load_model(path: str) -> GgcModel:
@@ -155,18 +144,19 @@ def _box(text: str) -> tuple:
 def _config_argv(path: str) -> list:
     """A config file as ``--key=value`` tokens: a JSON object, or
     ``key=value`` lines with ``#`` comments.  Keys are the command's flags
-    spelled in full; a JSON list becomes a comma list, as ``--m`` takes."""
+    spelled in full, each at most once and never ``config``; a JSON list
+    becomes a comma list, as ``--m`` takes."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     text = p.read_text().strip()
     if text.startswith("{"):
         try:
-            conf = json.loads(text)
+            pairs = json.loads(text, object_pairs_hook=list)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON config ({exc})")
         items = [(k, ",".join(map(str, v)) if isinstance(v, list) else str(v))
-                 for k, v in conf.items()]
+                 for k, v in pairs]
     else:
         items = []
         for ln in text.splitlines():
@@ -176,6 +166,12 @@ def _config_argv(path: str) -> list:
             if "=" not in ln:
                 raise ConfigError(f"{path}: expected key=value line, got {ln!r}")
             items.append(tuple(part.strip() for part in ln.split("=", 1)))
+    keys = [k for k, _ in items]
+    for k in keys:
+        if k == "config":
+            raise ConfigError(f"{path}: config key 'config' may not name another config file")
+        if keys.count(k) > 1:
+            raise ConfigError(f"{path}: config key {k!r} is given twice")
     return [f"--{k}={v}" for k, v in items]
 
 

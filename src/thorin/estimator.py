@@ -278,7 +278,7 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
 
 
 def _run_swarm(target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str) -> FitReport:
-    cfg = cfg.resolved(d)
+    """The swarm towards ``target``; ``cfg`` is already resolved to ``d``."""
     target_flat = target.as_float().ravel()
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best = None
@@ -437,7 +437,7 @@ def theoretical_moments(
     rule = mpmath.calculus.quadrature.TanhSinh(mpmath.mp)
     total, seen, estimates = np.zeros(box_shape(m), dtype=object), [], []
     with ctx.workprec():
-        for level in range(1, (10 if d == 1 else 7) + 1):
+        for level in range(1, _COEFF_LEVELS[d - 1] + 1):
             fresh = [(x, w * mpmath.exp(-x)) for a, b in _SPLIT
                      for x, w in rule.get_nodes(a, b, level, ctx.bits)]
             for j in range(d):  # grid points new at this level, by first new axis

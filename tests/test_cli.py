@@ -158,6 +158,106 @@ class TestFit:
                    "--n", "1", "--m", "2,x"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("fmt", ["kv", "json"])
+    @pytest.mark.parametrize("pairs, key", [
+        ([("seed", 1), ("seed", 2)], "seed"),
+        ([("seed", 1), ("config", "/nonexistent")], "config"),
+    ])
+    def test_config_repeated_or_self_key_is_config_error(
+            self, tmp_path, gamma_csv, capsys, fmt, pairs, key):
+        pairs = [("n", 1), ("m", 2), ("iters", 5), ("restarts", 1)] + pairs
+        conf = tmp_path / "fit.conf"
+        if fmt == "kv":
+            conf.write_text("".join(f"{k}={v}\n" for k, v in pairs))
+        else:  # json.dumps of a dict cannot repeat a key
+            conf.write_text("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                            for k, v in pairs) + "}")
+        out = tmp_path / "o"
+        rc = main(["fit", "--config", str(conf), "--input", str(gamma_csv),
+                   "--output", str(out)])
+        assert rc == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+
+# (file text, exit code, what the message must hold)
+_BAD_CSV = {
+    "header only": ("x,y\n", EXIT_DATA, ["no data rows"]),
+    "blank lines only": ("\n  \n\t\n", EXIT_DATA, ["empty file"]),
+    "nan": ("1,2\n3,nan\n", EXIT_DATA, ["non-finite", "row 2", "column 2"]),
+    "inf": ("x,y\n1,2\n\ninf,3\n", EXIT_DATA, ["non-finite", "row 3", "column 1"]),
+    "negative": ("x,y\n1,2\n3,-0.5\n", EXIT_DATA, ["negative", "row 3", "column 2"]),
+    "non-numeric": ("1,2\n3,abc\n", EXIT_DATA, ["'abc'"]),
+    "underscore digits": ("1,2\n1_000,3\n", EXIT_DATA, ["'1_000'"]),
+    "trailing comma": ("x,y\n1,2,\n", EXIT_DATA, ["''", "column 3"]),
+}
+
+_CLEAN_CSV = "x,y\n0.5,1.25\n3,0\n"
+_SAME_CSV = {
+    "crlf": "x,y\r\n0.5,1.25\r\n3,0\r\n",
+    "blank lines": "\nx,y\n\n0.5,1.25\n  \n\n3,0\n\n",
+    "spaces and tabs": "x , y\n 0.5 ,\t1.25\n\t3\t, 0 \n",
+    "no header": "0.5,1.25\n3,0\n",
+}
+
+_EXTREMES = np.array([[0.1, 1 / 3], [5e-324, 1.7976931348623157e308], [0.0, 2.5]])
+
+
+class TestCsvFiles:
+    @pytest.mark.parametrize("case", list(_BAD_CSV) + ["missing file"])
+    def test_malformed_input_exit_code(self, tmp_path, capsys, case):
+        path = tmp_path / "in.csv"
+        if case == "missing file":
+            text, code, needles = None, EXIT_CONFIG, ["not found"]
+        else:
+            text, code, needles = _BAD_CSV[case]
+            path.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["fit", "--input", str(path), "--output", str(out), "--n", "1"])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert all(needle in err for needle in needles), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(_SAME_CSV))
+    def test_layout_variants_read_as_the_clean_file(self, tmp_path, case):
+        clean, variant = tmp_path / "clean.csv", tmp_path / "variant.csv"
+        clean.write_text(_CLEAN_CSV)
+        variant.write_bytes(_SAME_CSV[case].encode())
+        want = cli._read_csv(str(clean))
+        assert want.shape == (2, 2)
+        got = cli._read_csv(str(variant))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_one_column_reads_as_n_by_1(self, tmp_path):
+        path = tmp_path / "col.csv"
+        path.write_text("value\n1.5\n2\n0\n")
+        arr = cli._read_csv(str(path))
+        assert arr.shape == (3, 1)
+        assert arr.ravel().tolist() == [1.5, 2.0, 0.0]
+
+    @pytest.mark.parametrize("header", [None, "a,b"])
+    def test_write_then_read_is_bit_exact(self, tmp_path, header):
+        path = tmp_path / "x.csv"
+        cli._write_csv(path, _EXTREMES, header=header)
+        got = cli._read_csv(str(path))
+        assert got.shape == _EXTREMES.shape and got.tobytes() == _EXTREMES.tobytes()
+
+    def test_written_bytes(self, tmp_path):
+        def lines(arr):
+            return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in arr)
+
+        square = _EXTREMES[:2]
+        path = tmp_path / "square.csv"
+        cli._write_csv(path, square)
+        assert path.read_text() == lines(square)
+        column = _EXTREMES.ravel()[:, None]
+        path = tmp_path / "column.csv"
+        cli._write_csv(path, column, header="p_value")
+        assert path.read_text() == "p_value\n" + lines(column)
+        back = cli._read_csv(str(path))
+        assert back.shape == column.shape and back.tobytes() == column.tobytes()
+
 
 class TestSample:
     def test_round_trip_and_determinism(self, tmp_path):
@@ -338,6 +438,17 @@ class TestBench:
             )
             assert rc == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_file_reads_back_as_the_sample(self, tmp_path):
+        # the fit-2d benchmark writes this file with bench and fits it
+        path = tmp_path / "clayton.csv"
+        rc = main(["bench", "--name", "clayton_pareto_lognormal", "--params", "theta=7",
+                   "--N", "2000", "--seed", "8", "--output", str(path)])
+        assert rc == EXIT_OK
+        params = validate.bench_params("clayton_pareto_lognormal", {"theta": 7.0})
+        want = validate.bench_sampler("clayton_pareto_lognormal", params, 2000, 8)
+        got = cli._read_csv(str(path))
+        assert got.shape == (2000, 2) and got.tobytes() == want.tobytes()
 
     def test_unknown_bench(self, tmp_path, capsys):
         rc = main(["bench", "--name", "nope", "--N", "10", "--output", str(tmp_path / "x.csv")])
