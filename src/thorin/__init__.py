@@ -15,8 +15,6 @@ from .laguerre import (
     phi,
     empirical_coeffs,
     coeffs_from_moments,
-    density_eval,
-    density_eval_clamped,
     density_grid,
     l2_norm_sq,
 )

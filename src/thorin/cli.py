@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -54,9 +55,9 @@ class ConfigError(Exception):
 
 def _read_csv(path: str) -> np.ndarray:
     """Comma-separated numeric columns, '.' decimals, optional single
-    header row (auto-detected by a non-numeric first row).  Blank lines
-    are skipped; rows are numbered over the non-blank lines, header
-    included."""
+    header row (the first non-blank line, when one of its cells is
+    non-empty and not a number).  Blank lines are skipped; every error
+    numbers rows over the non-blank lines, header included."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"input file not found: {path}")
@@ -66,7 +67,7 @@ def _read_csv(path: str) -> np.ndarray:
         raise DataError(f"{path}: empty file")
     start = 0
     try:
-        [float(v) for v in lines[0].split(",")]
+        [float(v) for v in lines[0].split(",") if v.strip()]
     except ValueError:
         start = 1
     if start == len(lines):
@@ -74,7 +75,11 @@ def _read_csv(path: str) -> np.ndarray:
     try:
         arr = np.loadtxt(lines[start:], delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
-        raise DataError(f"{path}: {exc}")
+        # numpy counts data rows from 0 when a cell does not convert and
+        # from 1 when the width changes
+        base = start + ("could not convert" in str(exc))
+        raise DataError(f"{path}: " + re.sub(
+            r"\brow (\d+)", lambda g: f"row {base + int(g[1])}", str(exc)))
     bad = np.argwhere(~np.isfinite(arr) | (arr < 0))
     if bad.size:
         i, j = bad[0]

@@ -26,7 +26,6 @@ from typing import Sequence, Tuple
 import mpmath
 import numpy as np
 from mpmath import mpf
-from scipy.special import lambertw
 
 from .laguerre import CoeffTensor, coeffs_from_moments
 from .numkit import (
@@ -403,9 +402,10 @@ def gd1_invert(a0: float, a1: Sequence[float]) -> Tuple[float, np.ndarray]:
     ``c2 = d/2 - sum_i a_{e_i} / (2 a_0)``, the shape solves
     ``alpha = 1/c2 - W0((ln c1 / c2) e^{ln c1 / c2}) / ln c1``; the ratios
     ``(a_0 - a_{e_i}) / (2 alpha a_0)`` are the simplex scales, inverted
-    back to raw scales.  scipy's Lambert W seeds a safeguarded Newton
-    polish, which sets the answer and removes the conditioning loss of
-    the Lambert step near its branch point.
+    back to raw scales.  The shape is found without the Lambert W: in
+    ``v = c2 / alpha`` it solves ``ln(1 - v)/v = ln c1 / c2``, whose left
+    side falls from -1 to -inf on (0, 1), so a safeguarded
+    Newton-bisection from ``v = 1/2`` finds the one root.
     """
     a1 = np.atleast_1d(np.asarray(a1, dtype=float))
     d = a1.size
@@ -413,18 +413,11 @@ def gd1_invert(a0: float, a1: Sequence[float]) -> Tuple[float, np.ndarray]:
         raise ValueError("inversion failure: a_0 must be positive")
     c1 = a0 * 2.0 ** (-d / 2.0)
     c2 = d / 2.0 - a1.sum() / (2.0 * a0)
-    if not (0.0 < c1 < 1.0) or not c2 > 0 or not np.isfinite(c2):
+    R = math.log(c1) / c2 if 0.0 < c1 < 1.0 and c2 > 0 else 0.0
+    # ln(1 - v)/v = R has a root in (0, 1) only for R < -1
+    if not R < -1.0:
         raise ValueError("inversion failure: coefficients outside the model image")
-    lc = math.log(c1)
-    z = lc / c2
-    w = float(lambertw(z * math.exp(z)).real)
-    alpha = 1.0 / c2 - w / lc
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValueError("inversion failure: non-finite shape")
-    # polish the defining relation ln(1 - v)/v = ln(c1)/c2 in v = c2/alpha
-    R = z
-    v = min(max(c2 / alpha, 1e-300), 1.0 - 1e-16)
-    lo, hi = 1e-300, 1.0 - 1e-16
+    v, lo, hi = 0.5, 1e-300, 1.0 - 1e-16
     for _ in range(200):
         f = math.log1p(-v) / v - R
         if f > 0:

@@ -426,6 +426,13 @@ class TestGd1:
         with pytest.raises(ValueError):
             gd1_invert(2.0, [0.0])  # a0 >= sqrt(2) is outside the image
 
+    @pytest.mark.parametrize("a0, a1", [(1.0, [0.0]), (1.0, [0.3]), (0.9, [0.2, 0.1])])
+    def test_invert_rejects_coefficients_without_a_shape(self, a0, a1):
+        # ln(c1)/c2 >= -1: no v in (0, 1) solves ln(1 - v)/v = ln(c1)/c2,
+        # so no single atom has these coefficients
+        with pytest.raises(ValueError, match="outside the model image"):
+            gd1_invert(a0, a1)
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(10)
         for _ in range(100):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,8 +13,6 @@ from thorin.ggc import GgcModel, model_coeffs
 from thorin.laguerre import (
     CoeffTensor,
     coeffs_from_moments,
-    density_eval,
-    density_eval_clamped,
     density_grid,
     empirical_coeffs,
     l2_norm_sq,
@@ -156,15 +158,38 @@ class TestEmpiricalCoeffs:
         with pytest.raises(ValueError, match="negative"):
             empirical_coeffs(np.array([[0.1], [-0.2]]), (2,))
 
-    def test_compensated_sum_matches_fsum(self):
-        # the chunked Kahan accumulation should agree with exact summation
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sum_matches_fsum(self, d):
+        # plain summation over 1e5 samples stays within 1e-14 of exact
+        # summation, below the ~1e-14 accuracy of the model kernel
         rng = np.random.default_rng(8)
-        xs = rng.exponential(1.0, 50_000)
-        ct = empirical_coeffs(xs, (3,))
-        mats = phi_univariate(3, xs)
-        for k in range(4):
-            exact = math.fsum(mats[k]) / xs.size
-            assert ct[(k,)] == pytest.approx(exact, rel=1e-13, abs=1e-16)
+        xs = rng.exponential(1.0, (100_000, d))
+        ct = empirical_coeffs(xs, (3,) * d)
+        mats = [phi_univariate(3, xs[:, j]) for j in range(d)]
+        for k in np.ndindex(ct.a.shape):
+            terms = np.prod([mats[j][k[j]] for j in range(d)], axis=0)
+            assert abs(ct[k] - math.fsum(terms) / xs.shape[0]) <= 1e-14
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # byte-identical reruns must not hang on the BLAS thread count
+        code = (
+            "import sys, numpy as np\n"
+            "from thorin.laguerre import empirical_coeffs\n"
+            "xs = np.random.default_rng(9).exponential(1.0, (100_000, 2))\n"
+            "for m in ((20,), (20, 20)):\n"
+            "    a = empirical_coeffs(xs[:, :len(m)], m).a\n"
+            "    sys.stdout.write(a.tobytes().hex() + '\\n')\n"
+        )
+        src = str(Path(sys.modules["thorin"].__file__).resolve().parents[1])
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout.split())
+        assert len(out[0]) == 2 and out[0] == out[1]
 
 
 class TestCoeffsFromMoments:
@@ -189,43 +214,49 @@ class TestCoeffsFromMoments:
             coeffs_from_moments(np.zeros((3,)), (4,))
 
 
-class TestDensityEval:
+class TestDensityGrid:
     def test_exponential_reconstruction(self):
         a = np.zeros(6)
         a[0] = 1 / SQRT2
         ct = CoeffTensor((5,), a)
-        assert density_eval(ct, (1.0,)) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert density_grid(ct, [(1.0,)])[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_zero_coeffs(self):
         ct = CoeffTensor((4,), np.zeros(5))
-        for x in (0.0, 0.5, 3.0):
-            assert density_eval(ct, (x,)) == 0.0
+        assert np.array_equal(density_grid(ct, [0.0, 0.5, 3.0]), np.zeros(3))
 
     def test_gamma_reconstruction_truncated(self):
         model = GgcModel([2.0], [[1.0]])
         ct = model_coeffs(model, (40,)).coeffs
-        assert density_eval(ct, (1.0,)) == pytest.approx(math.exp(-1.0), abs=1e-6)
+        assert density_grid(ct, [(1.0,)])[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
-    def test_clamped_variant(self):
+    def test_raw_values_can_be_negative(self):
         a = np.zeros(3)
         a[1] = 1.0  # phi_1 goes negative on (0.5, inf)
         ct = CoeffTensor((2,), a)
-        assert density_eval(ct, (2.0,)) < 0
-        assert density_eval_clamped(ct, (2.0,)) == 0.0
+        assert density_grid(ct, [(2.0,)])[0] < 0
 
-    def test_grid_matches_pointwise(self):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_pointwise_sum(self, d):
         rng = np.random.default_rng(5)
-        a = rng.normal(size=(3, 3))
-        ct = CoeffTensor((2, 2), a)
-        pts = rng.uniform(0, 4, (20, 2))
+        m = (4, 3, 2)[:d]
+        ct = CoeffTensor(m, rng.normal(size=tuple(k + 1 for k in m)))
+        pts = rng.uniform(0, 4, (20, d))
         grid = density_grid(ct, pts)
+        assert grid.shape == (20,)
         for i in range(20):
-            assert grid[i] == pytest.approx(density_eval(ct, pts[i]), rel=1e-12)
+            want = sum(ct[k] * phi(k, pts[i]) for k in np.ndindex(ct.a.shape))
+            assert grid[i] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_domain_error(self):
         ct = CoeffTensor((2,), np.zeros(3))
-        with pytest.raises(ValueError):
-            density_eval(ct, (-1.0,))
+        with pytest.raises(ValueError, match="non-negative"):
+            density_grid(ct, [(-1.0,)])
+
+    def test_dimension_mismatch(self):
+        ct = CoeffTensor((2, 2), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="dimension"):
+            density_grid(ct, [(1.0, 1.0, 1.0)])
 
 
 class TestL2Norm:
