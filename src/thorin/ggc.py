@@ -57,6 +57,8 @@ __all__ = [
     "concatenate",
 ]
 
+_KERNEL_BYTES = 16 * 2**20  # series-division scratch of one particle block in batch_coeffs
+
 
 @dataclass
 class GgcModel:
@@ -271,7 +273,16 @@ def batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m: Sequence[int]) -> np
     coefficient is ``M_k / k_j``, where
     ``(1 - z_j) R_i M = 2 x_ij z_j prod_{l != j} (1 - z_l)`` and
     ``R_i = prod_l (1 - z_l) (1 + u_i)`` is multilinear with ``R_i(0) = 1``.
-    One power-series exponential (Knuth, TAOCP vol. 2, 4.7) finishes.
+    One power-series exponential (Knuth, TAOCP vol. 2, 4.7) finishes; its
+    products over the trailing axes are FFT products at the smallest
+    length ``2^a 3^b 5^c >= 2 m_j + 1`` per axis, which keeps the
+    wrap-around out of the box and pocketfft off its prime-length path.
+
+    The particles go through in blocks whose series-division scratch,
+    ``8 n prod_j (m_j + 2)`` bytes per particle, fits ``_KERNEL_BYTES``
+    (216 particles at ``n = 20`` and box ``(20, 20)``), so one call's
+    scratch is bounded whatever ``P`` is.  Every row is computed on its
+    own, so the blocks change no bit of the result.
     """
     alpha = np.asarray(alpha, dtype=float)
     simplex = np.asarray(simplex, dtype=float)
@@ -279,6 +290,10 @@ def batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m: Sequence[int]) -> np
     m = tuple(int(v) for v in m)
     if len(m) != d:
         raise ValueError(f"box has dimension {len(m)}, simplex rows {d}")
+    rows = max(1, _KERNEL_BYTES // (8 * n * math.prod(v + 2 for v in m)))
+    if P > rows:
+        return np.concatenate([batch_coeffs(alpha[i : i + rows], simplex[i : i + rows], m)
+                               for i in range(0, P, rows)])
     x, rho = simplex[:, :, :d], simplex[:, :, d]
     shape = box_shape(m)
     # R_S = (-1)^{|S|} (1 - 2 sum_{l in S} x_il) on the multilinear monomials
@@ -338,8 +353,8 @@ def _series_exp(C: np.ndarray) -> np.ndarray:
         for k in range(1, n0):
             E[:, k] = np.einsum("pl,pl->p", lc[:, 1 : k + 1], E[:, k - 1 :: -1]) / k
         return E
-    # FFT length 2r - 1 per axis keeps the wrap-around out of the box
-    fft_shape = tuple(2 * r - 1 for r in rest)
+    # any length >= 2r - 1 per axis keeps the wrap-around out of the box
+    fft_shape = tuple(_fft_len(2 * r - 1) for r in rest)
     axes = tuple(range(1, len(rest) + 1))
     box = (slice(None),) + tuple(slice(r) for r in rest)
     Ch = np.fft.rfftn(lc, fft_shape, tuple(a + 1 for a in axes))
@@ -351,6 +366,19 @@ def _series_exp(C: np.ndarray) -> np.ndarray:
         if k + 1 < n0:
             Eh[:, k] = np.fft.rfftn(E[:, k], fft_shape, axes)
     return E
+
+
+def _fft_len(n: int) -> int:
+    """Smallest ``2^a 3^b 5^c >= n``."""
+    k = n
+    while True:
+        r = k
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return k
+        k += 1
 
 
 def float_coeffs(model: GgcModel, m: Sequence[int]) -> CoeffTensor:
@@ -438,9 +466,12 @@ def gd1_invert(a0: float, a1: Sequence[float]) -> Tuple[float, np.ndarray]:
     return float(alpha), s
 
 
-def sample(model: GgcModel, N: int, seed: int) -> np.ndarray:
+def sample(model: GgcModel, N: int, seed: int | np.random.Generator) -> np.ndarray:
     """``N`` i.i.d. draws of ``X = s' Z`` with ``Z_i ~ Gamma(alpha_i, 1)``
-    independent; deterministic given the seed.  Returns an N x d matrix.
+    independent.  Returns an N x d matrix.
+
+    ``seed`` is an int seed, which makes the draws deterministic, or a
+    ``np.random.Generator``, which is drawn from and so advances.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

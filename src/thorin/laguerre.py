@@ -233,8 +233,11 @@ def density_grid(coeffs: CoeffTensor, pts) -> np.ndarray:
         raise ValueError("point dimension does not match the coefficient tensor")
     if np.any(pts < 0):
         raise ValueError("density is supported on the non-negative orthant")
-    ops = [x for j, mj in enumerate(coeffs.m) for x in (phi_univariate(mj, pts[:, j]), [j, d])]
-    return np.einsum(coeffs.as_float(), list(range(d)), *ops, [d])
+    # one axis at a time, two operands per einsum and no optimize: BLAS stays out
+    out = np.einsum("k...,kn->...n", coeffs.as_float(), phi_univariate(coeffs.m[0], pts[:, 0]))
+    for j in range(1, d):
+        out = np.einsum("k...n,kn->...n", out, phi_univariate(coeffs.m[j], pts[:, j]))
+    return out
 
 
 def l2_norm_sq(coeffs: CoeffTensor) -> float:

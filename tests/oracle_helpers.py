@@ -1,7 +1,11 @@
-"""Independent combinatorial oracles shared by the test modules."""
+"""Independent combinatorial oracles and helpers shared by the test modules."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -68,3 +72,19 @@ def enumerated_best_eps(model) -> float:
             if t is not None:
                 best = min(best, _subset_eps(t))
     return best
+
+
+def stdout_per_blas_threads(code: str):
+    """Standard output lines of ``python -c code`` run under
+    ``OPENBLAS_NUM_THREADS=1`` and ``2``, with this checkout's package
+    on the path: byte-identical reruns must not hang on the thread count."""
+    src = str(Path(sys.modules["thorin"].__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,9 +8,12 @@ from mpmath import mpf
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kendalltau
 
+from oracle_helpers import brute_force_moments, stdout_per_blas_threads
 from thorin.estimator import _decode, _init_particles
 from thorin.ggc import (
+    _KERNEL_BYTES,
     GgcModel,
+    _fft_len,
     batch_coeffs,
     cgf,
     concatenate,
@@ -166,9 +170,6 @@ class TestShiftedCumulants:
             g = lambda e1, e2: K(m2, [mpf(-1) + e1 * h, mpf(-1) + e2 * h])
             fd11 = (g(1, 1) - g(1, -1) - g(-1, 1) + g(-1, -1)) / (4 * h**2)
             assert abs(kap2[(1, 1)] - fd11) <= abs(fd11) * mpf("1e-6")
-
-
-from oracle_helpers import brute_force_moments
 
 
 class TestCumulantsToMoments:
@@ -384,6 +385,57 @@ class TestBatchCoeffs:
     def test_shape_checks(self):
         with pytest.raises(ValueError):
             batch_coeffs(np.ones((1, 1)), np.full((1, 1, 3), 1 / 3), (4,))
+
+
+def swarm_particles(P, n, m, seed=3):
+    rng = np.random.default_rng(seed)
+    return _decode(_init_particles(rng, P, n, len(m)), n, len(m))
+
+
+class TestKernelBlocks:
+    """Particle blocks bound the kernel's memory and change no bit."""
+
+    def test_memory_is_bounded(self):
+        alpha, simplex = swarm_particles(1000, 20, (20, 20))
+        tracemalloc.start()
+        try:
+            out = batch_coeffs(alpha, simplex, (20, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _KERNEL_BYTES + out.nbytes
+
+    def test_blocks_equal_one_call_per_particle(self):
+        m = (20, 20)
+        alpha, simplex = swarm_particles(500, 20, m)
+        assert 500 > 2 * (_KERNEL_BYTES // (8 * 20 * 22 * 22))  # three blocks at least
+        single = [batch_coeffs(alpha[p : p + 1], simplex[p : p + 1], m) for p in range(500)]
+        assert batch_coeffs(alpha, simplex, m).tobytes() == np.concatenate(single).tobytes()
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from thorin.estimator import _decode, _init_particles\n"
+            "from thorin.ggc import batch_coeffs\n"
+            "for m in ((20, 20), (3, 3, 3)):\n"
+            "    rng = np.random.default_rng(3)\n"
+            "    alpha, simplex = _decode(_init_particles(rng, 300, 20, len(m)), 20, len(m))\n"
+            "    sys.stdout.write(batch_coeffs(alpha, simplex, m).tobytes().hex() + '\\n')\n"
+        )
+        out = stdout_per_blas_threads(code)
+        assert len(out[0]) == 2 and out[0] == out[1]
+
+    def test_fft_len_is_smallest_5_smooth(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        for n in range(1, 501):
+            got = _fft_len(n)
+            assert got >= n and smooth(got)
+            assert not any(smooth(k) for k in range(n, got))
 
 
 class TestGd1:

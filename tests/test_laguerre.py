@@ -1,14 +1,11 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracle_helpers import stdout_per_blas_threads
 from thorin.ggc import GgcModel, model_coeffs
 from thorin.laguerre import (
     CoeffTensor,
@@ -171,7 +168,6 @@ class TestEmpiricalCoeffs:
             assert abs(ct[k] - math.fsum(terms) / xs.shape[0]) <= 1e-14
 
     def test_bits_do_not_depend_on_blas_threads(self):
-        # byte-identical reruns must not hang on the BLAS thread count
         code = (
             "import sys, numpy as np\n"
             "from thorin.laguerre import empirical_coeffs\n"
@@ -180,15 +176,7 @@ class TestEmpiricalCoeffs:
             "    a = empirical_coeffs(xs[:, :len(m)], m).a\n"
             "    sys.stdout.write(a.tobytes().hex() + '\\n')\n"
         )
-        src = str(Path(sys.modules["thorin"].__file__).resolve().parents[1])
-        out = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            proc = subprocess.run([sys.executable, "-c", code], env=env,
-                                  capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            out.append(proc.stdout.split())
+        out = stdout_per_blas_threads(code)
         assert len(out[0]) == 2 and out[0] == out[1]
 
 
