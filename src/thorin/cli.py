@@ -62,7 +62,7 @@ def _read_csv(path: str) -> np.ndarray:
     if not p.exists():
         raise ConfigError(f"input file not found: {path}")
     with open(p) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines:
         raise DataError(f"{path}: empty file")
     start = 0

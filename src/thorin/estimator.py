@@ -1,5 +1,6 @@
 """Truncated L2 loss between Laguerre coefficient tensors and its global
-minimization by particle swarm.
+minimization: a particle swarm finds the basin, Levenberg-Marquardt
+polishes its best position.
 
 Two modes: estimation from samples (empirical coefficients) and
 projection from a formal density, whose coefficients ``<f, phi_k>`` come
@@ -52,8 +53,20 @@ __all__ = [
 _INERTIA = 0.72
 _COGNITIVE = 1.49
 _SOCIAL = 1.49
-_STALL_ITERS = 200
-_STALL_RTOL = 1e-12
+# the swarm has found its basin, and hands over to the polish, once its
+# best loss gains at most _STALL_RTOL relative in _STALL_ITERS iterations
+# in a row; the A12 acceptance fit crosses a 10-iteration plateau on its
+# way down, so the window is twice that
+_STALL_ITERS = 20
+_STALL_RTOL = 1e-6
+# Levenberg-Marquardt polish of a stalled swarm's best position
+_LM_STEPS = 100
+_LM_RTOL = 1e-10
+_LM_DIFF_STEP = 6e-6  # about eps^(1/3), the central-difference optimum
+_LM_DAMP_START = 1e-3
+_LM_DAMP_MIN = 1e-12
+_LM_DAMP_MAX = 1e12
+_LM_DIAG_FLOOR = 1e-12
 _LOGSHAPE_RANGE = (math.log(1e-2), math.log(1e2))
 _SMAG_RANGE = (math.log(1e-3), math.log(1e3))
 _LOGIT_RANGE = (-18.0, 0.0)
@@ -226,7 +239,22 @@ def _init_particles(rng, swarm: int, n: int, d: int):
     return pos
 
 
+def _residuals(params, target_flat, n, d, m):
+    """Coefficients of each particle's model minus the target, one row each."""
+    alpha, simplex = _decode(params, n, d)
+    return batch_coeffs(alpha, simplex, m) - target_flat[None, :]
+
+
+def _losses(params, target_flat, n, d, m):
+    """Swarm objective of each particle; a non-finite one reads ``inf``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        val = (_residuals(params, target_flat, n, d, m) ** 2).sum(axis=1)
+    return np.where(np.isfinite(val), val, np.inf)
+
+
 def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
+    """One restart's swarm: its best position and loss, the iterations it
+    made and whether it stalled (else it stopped at ``cfg.max_iters``)."""
     swarm = cfg.swarm_size
     npar = n * (d + 2)
     lo = np.full(npar, _LOGSHAPE_RANGE[0])
@@ -234,17 +262,10 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
     lo[n:], hi[n:] = _LOGIT_RANGE
     vmax = 0.5 * (hi - lo)
 
-    def losses(p):
-        alpha, simplex = _decode(p, n, d)
-        with np.errstate(invalid="ignore", over="ignore"):
-            a = batch_coeffs(alpha, simplex, m)
-            val = ((a - target_flat[None, :]) ** 2).sum(axis=1)
-        return np.where(np.isfinite(val), val, np.inf)
-
     pos = _init_particles(rng, swarm, n, d)
     vel = rng.uniform(-1.0, 1.0, size=(swarm, npar)) * (0.1 * vmax)[None, :]
     pbest = pos.copy()
-    pbl = losses(pos)
+    pbl = _losses(pos, target_flat, n, d, m)
     gi = int(np.argmin(pbl))
     gbest, gbl = pbest[gi].copy(), float(pbl[gi])
     stall, last = 0, gbl
@@ -259,7 +280,7 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
         )
         np.clip(vel, -vmax, vmax, out=vel)
         pos = pos + vel
-        cur = losses(pos)
+        cur = _losses(pos, target_flat, n, d, m)
         upd = cur < pbl
         pbest[upd] = pos[upd]
         pbl[upd] = cur[upd]
@@ -277,16 +298,103 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
     return gbest, gbl, it, False
 
 
+def _spd_solve(a, b):
+    """``x`` with ``a x = b`` for symmetric positive definite ``a``, by
+    Cholesky in numpy's own ``einsum`` loops, not LAPACK, whose
+    factorization runs on several BLAS threads from about 100 unknowns
+    and then changes bits with their count.  A pivot that is not positive
+    gives NaN entries."""
+    p = b.size
+    low = np.zeros_like(a)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(p):
+            v = a[j:, j] - np.einsum("ik,k->i", low[j:, :j], low[j, :j])
+            low[j:, j] = v / np.sqrt(v[0])
+        y = np.zeros(p)
+        for i in range(p):
+            y[i] = (b[i] - np.einsum("k,k->", low[i, :i], y[:i])) / low[i, i]
+        x = np.zeros(p)
+        for i in reversed(range(p)):
+            x[i] = (y[i] - np.einsum("k,k->", low[i + 1 :, i], x[i + 1 :])) / low[i, i]
+    return x
+
+
+def _polish(theta, loss, target_flat, n, d, m):
+    """Levenberg-Marquardt on the residual ``a(theta) - target`` from a
+    stalled swarm's best position ``theta`` with loss ``loss`` (Moré 1978;
+    Nocedal & Wright 2006, 10.3).
+
+    The Jacobian comes from central differences, all ``2p`` perturbed
+    particles in one kernel call.  Gauss-Newton alone would be singular:
+    the common shift of an atom's simplex logits leaves the model
+    unchanged, a null direction of ``J``.  Marquardt's damping by the
+    diagonal of ``J^T J`` keeps the system definite and each step free of
+    the coordinates' scales; the system is solved where that diagonal is
+    the identity.  A step is taken only if the loss falls, so the result
+    is never above ``loss``.  The damping grows 2, 4, 8, ... fold while
+    steps are refused, and after a step it follows the ratio of the
+    actual to the predicted decrease (Nielsen 1999).  The polish has
+    converged when an accepted step lowers the loss by at most
+    ``_LM_RTOL`` relative, or when no damping up to ``_LM_DAMP_MAX``
+    lowers it at all; it gives up, unconverged, after ``_LM_STEPS``
+    steps or on a non-finite Jacobian.
+    ``J^T J`` and ``J^T r`` are ``einsum`` sums, not BLAS products, and
+    :func:`_spd_solve` is numpy's own loop, so the bits do not depend on
+    the BLAS thread count.
+
+    Returns the position, its loss, the steps taken, the norm of the loss
+    gradient ``2 J^T r`` there and whether the stopping test was met.
+    """
+    p = theta.size
+    lam, done = _LM_DAMP_START, False
+    for step in range(_LM_STEPS + 1):
+        shift = np.diag(_LM_DIFF_STEP * np.maximum(1.0, np.abs(theta)))
+        up, down = theta + shift, theta - shift
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = _residuals(np.concatenate([up, down, theta[None, :]]), target_flat, n, d, m)
+            jac = (res[:p] - res[p:-1]) / (np.diag(up) - np.diag(down))[:, None]  # p x B
+        grad = np.einsum("ib,b->i", jac, res[-1])
+        gnorm = 2.0 * float(np.sqrt((grad ** 2).sum()))
+        if done or step == _LM_STEPS or not np.isfinite(gnorm):
+            return theta, loss, step, gnorm, done
+        jtj = np.einsum("ib,jb->ij", jac, jac)
+        diag = np.diag(jtj)
+        unit = 1.0 / np.sqrt(np.maximum(diag, _LM_DIAG_FLOOR * max(float(diag.max()), 1e-300)))
+        scaled = unit[:, None] * jtj * unit[None, :]  # the damping D becomes the identity
+        nu = 2.0
+        while lam <= _LM_DAMP_MAX:
+            h = _spd_solve(scaled + lam * np.eye(p), -unit * grad)
+            trial = theta + unit * h
+            tloss = float(_losses(trial[None, :], target_flat, n, d, m)[0])
+            if tloss < loss:
+                break
+            lam, nu = lam * nu, 2.0 * nu
+        else:
+            return theta, loss, step, gnorm, True
+        gain = (loss - tloss) / float(np.einsum("i,i->", h, lam * h - unit * grad))
+        done = loss - tloss <= _LM_RTOL * loss
+        theta, loss = trial, tloss
+        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _LM_DAMP_MIN)
+
+
 def _run_swarm(target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str) -> FitReport:
-    """The swarm towards ``target``; ``cfg`` is already resolved to ``d``."""
+    """The swarm towards ``target``, each stalled restart polished by
+    :func:`_polish`; ``cfg`` is already resolved to ``d``."""
     target_flat = target.as_float().ravel()
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best = None
+    best, notes = None, []
     iters_total = 0
     for r, ss in enumerate(streams):
         rng = np.random.default_rng(ss)
-        gpos, gloss, iters, converged = _pso_once(target_flat, cfg.n, d, cfg.m, cfg, rng)
+        gpos, gloss, iters, stalled = _pso_once(target_flat, cfg.n, d, cfg.m, cfg, rng)
         iters_total += iters
+        converged = False
+        if stalled:
+            swarm_loss = gloss
+            gpos, gloss, steps, gnorm, converged = _polish(gpos, gloss, target_flat, cfg.n, d, cfg.m)
+            notes.append(f"restart {r}: swarm loss {swarm_loss:.10e} after {iters} iterations, "
+                         f"polished loss {gloss:.10e} after {steps} LM steps, "
+                         f"gradient norm {gnorm:.3e}" + ("" if converged else ", not converged"))
         if best is None or gloss < best[1]:
             best = (gpos, gloss, converged)
     gpos, _, converged = best
@@ -305,6 +413,7 @@ def _run_swarm(target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str) -> F
         bits_used=53,
         converged=converged,
         empirical_coeffs_hash=hash_text,
+        notes=tuple(notes),
     )
 
 
@@ -319,9 +428,12 @@ def fit_empirical(samples, cfg: FitConfig) -> FitReport:
     """Fit a model to observations by minimizing the truncated
     coefficient distance to the empirical Laguerre coefficients.
 
-    Deterministic given ``(samples, cfg)``.  Non-convergence of the swarm
-    is not an error: the best particle is returned with
-    ``converged=False``.  The whole fit runs in doubles, so the report's
+    Deterministic given ``(samples, cfg)``.  Non-convergence is not an
+    error: ``converged`` is true only when the chosen restart's swarm
+    stalled and its polish met the stopping test of :func:`_polish`; a
+    swarm stopped by ``cfg.max_iters`` is returned unpolished.  ``iters``
+    counts swarm iterations, and ``notes`` holds one line per polished
+    restart.  The whole fit runs in doubles, so the report's
     ``bits_used`` is 53; the model may hold fewer than ``cfg.n`` atoms.
     """
     arr = validate_samples(samples)

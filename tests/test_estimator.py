@@ -7,11 +7,16 @@ import pytest
 from mpmath import mpf
 from scipy.special import gammaln
 
+from oracle_helpers import stdout_per_blas_threads
 from thorin.estimator import (
     FitConfig,
     QuadratureError,
     _decode,
     _fitted_model,
+    _losses,
+    _polish,
+    _pso_once,
+    _spd_solve,
     default_box,
     fit_empirical,
     loss_Lm,
@@ -19,8 +24,8 @@ from thorin.estimator import (
     theoretical_coeffs,
     theoretical_moments,
 )
-from thorin.ggc import GgcModel, batch_coeffs, model_coeffs, sample
-from thorin.laguerre import CoeffTensor, coeffs_from_moments
+from thorin.ggc import GgcModel, batch_coeffs, float_coeffs, model_coeffs, sample
+from thorin.laguerre import CoeffTensor, coeffs_from_moments, empirical_coeffs
 from thorin.numkit import PrecisionContext
 from thorin.validate import bench_density_mp, bench_pdf
 
@@ -215,6 +220,96 @@ class TestProjectDensity:
         assert rep.to_dict() == ref.to_dict()
         with pytest.raises(ValueError):
             project_density(CoeffTensor((3,), np.zeros(4)), cfg)
+
+
+def _swarm_position(model):
+    """Swarm coordinates of a model: log shapes, then each atom's simplex logits."""
+    s = model.scales
+    simplex = np.hstack([s, np.ones((model.n, 1))]) / (1.0 + s.sum(axis=1, keepdims=True))
+    return np.concatenate([np.log(model.alpha), np.log(simplex).ravel()])
+
+
+class TestPolish:
+    def test_recovers_a_perturbed_member(self):
+        model = GgcModel([1.0, 2.0], [[0.5], [3.0]])
+        m = (4,)
+        target = float_coeffs(model, m).a.ravel()
+        theta = _swarm_position(model) + np.random.default_rng(3).normal(scale=0.05, size=6)
+        start = float(_losses(theta[None, :], target, 2, 1, m)[0])
+        assert start > 1e-6
+        pos, loss, steps, gnorm, converged = _polish(theta, start, target, 2, 1, m)
+        assert loss < 1e-20
+        assert converged and 0 < steps < 100
+        alpha, simplex = _decode(pos[None, :], 2, 1)
+        got = _fitted_model(alpha[0], simplex[0])
+        np.testing.assert_allclose(got.alpha, model.alpha, rtol=1e-6)
+        np.testing.assert_allclose(got.scales, model.scales, rtol=1e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", ["weibull", "bivariate"])
+    def test_never_above_the_swarm(self, case, seed):
+        if case == "weibull":
+            n, m = 3, (6,)
+            pdf, jumps = bench_pdf("weibull", {"k": 1.5})
+            target = theoretical_coeffs(pdf, m, jumps).as_float().ravel()
+        else:
+            n, m = 2, (3, 3)
+            xs = sample(GgcModel([1.0, 0.7, 0.5], [[1.0, 0.2], [0.1, 2.0], [0.8, 0.8]]), 3000, seed=4)
+            target = empirical_coeffs(xs, m).as_float().ravel()
+        d = len(m)
+        cfg = FitConfig(n=n, m=m, seed=seed, max_iters=40, restarts=1).resolved(d)
+        gbest, gloss, _, _ = _pso_once(target, n, d, m, cfg, np.random.default_rng(seed))
+        pos, loss, _, _, _ = _polish(gbest, gloss, target, n, d, m)
+        assert loss <= gloss
+        assert loss == float(_losses(pos[None, :], target, n, d, m)[0])
+
+    def test_swarm_stopped_by_max_iters_is_not_polished(self):
+        xs = sample(GgcModel([1.0], [[1.0]]), 2000, seed=5)
+        cfg = FitConfig(n=2, m=(4,), seed=0, max_iters=3, restarts=1)
+        rep = fit_empirical(xs, cfg)
+        target = empirical_coeffs(xs, (4,)).as_float().ravel()
+        rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
+        gbest, _, iters, stalled = _pso_once(target, 2, 1, (4,), cfg.resolved(1), rng)
+        alpha, simplex = _decode(gbest[None, :], 2, 1)
+        swarm = _fitted_model(alpha[0], simplex[0])
+        assert not stalled and iters == rep.iters == 3
+        assert not rep.converged and rep.notes == ()
+        assert np.array_equal(rep.model.alpha, swarm.alpha)
+        assert np.array_equal(rep.model.scales, swarm.scales)
+
+    def test_spd_solve_matches_lapack_without_its_threads(self):
+        # from about 100 unknowns LAPACK's factorization changes bits with
+        # the BLAS thread count; the polish's own Cholesky does not
+        for p in (1, 6, 120):
+            jac = np.random.default_rng(p).normal(size=(p + 40, p))
+            a = np.einsum("bi,bj->ij", jac, jac) + 1e-3 * np.eye(p)
+            b = np.arange(1.0, p + 1.0)
+            ref = np.linalg.solve(a, b)
+            np.testing.assert_allclose(_spd_solve(a, b), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        code = (
+            "import numpy as np\n"
+            "from thorin.estimator import _spd_solve\n"
+            "jac = np.random.default_rng(120).normal(size=(160, 120))\n"
+            "a = np.einsum('bi,bj->ij', jac, jac) + 1e-3 * np.eye(120)\n"
+            "print(_spd_solve(a, np.arange(1.0, 121.0)).tobytes().hex())\n"
+        )
+        out = stdout_per_blas_threads(code)
+        assert out[0] == out[1]
+
+    def test_projection_bits_do_not_depend_on_blas_threads(self):
+        code = (
+            "import json\n"
+            "from thorin.estimator import FitConfig, project_density, theoretical_coeffs\n"
+            "from thorin.validate import bench_pdf\n"
+            "pdf, jumps = bench_pdf('lognormal', {'mu': 0.0, 'sigma': 0.83})\n"
+            "target = theoretical_coeffs(pdf, (4,), jumps)\n"
+            "rep = project_density(target, FitConfig(n=2, seed=3, restarts=2))\n"
+            "print(json.dumps(rep.to_dict(), sort_keys=True).replace(' ', ''))\n"
+            "print(rep.loss.hex(), len(rep.notes), rep.converged)\n"
+        )
+        out = stdout_per_blas_threads(code)
+        assert out[0] == out[1]
+        assert int(out[0][-2]) >= 1  # a polish ran
 
 
 @functools.lru_cache(maxsize=None)
