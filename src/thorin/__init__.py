@@ -20,7 +20,6 @@ from .laguerre import (
 )
 from .ggc import (
     GgcModel,
-    ShiftedTensors,
     ModelCoeffs,
     cgf,
     simplex_scales,

@@ -59,7 +59,7 @@ def _read_csv(path: str) -> np.ndarray:
     non-empty and not a number).  Blank lines are skipped; every error
     numbers rows over the non-blank lines, header included."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"input file not found: {path}")
     with open(p) as fh:
         lines = [ln for ln in map(str.strip, fh) if ln]
@@ -96,14 +96,16 @@ def _write_csv(path: Path, arr: np.ndarray, header: str = None):
 def _load_model(path: str) -> GgcModel:
     """A ``model.json``, or the ``"model"`` object of a fit's ``report.json``."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"model file not found: {path}")
     try:
         obj = json.loads(p.read_text())
         if isinstance(obj, dict) and "model" in obj:
             obj = obj["model"]
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
         return GgcModel(np.asarray(obj["alpha"]), np.asarray(obj["scales"]))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: invalid model JSON ({exc})")
 
 
@@ -152,7 +154,7 @@ def _config_argv(path: str) -> list:
     spelled in full, each at most once and never ``config``; a JSON list
     becomes a comma list, as ``--m`` takes."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     text = p.read_text().strip()
     if text.startswith("{"):

@@ -134,7 +134,6 @@ class FitReport:
     seed: int
     iters: int
     restarts_used: int
-    bits_used: int
     converged: bool
     empirical_coeffs_hash: str
     notes: Tuple[str, ...] = ()
@@ -151,7 +150,6 @@ class FitReport:
             "seed": self.seed,
             "iters": self.iters,
             "restarts_used": self.restarts_used,
-            "bits_used": self.bits_used,
             "converged": self.converged,
             "empirical_coeffs_hash": self.empirical_coeffs_hash,
             "notes": list(self.notes),
@@ -410,7 +408,6 @@ def _run_swarm(target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str) -> F
         seed=cfg.seed,
         iters=iters_total,
         restarts_used=cfg.restarts,
-        bits_used=53,
         converged=converged,
         empirical_coeffs_hash=hash_text,
         notes=tuple(notes),
@@ -433,8 +430,8 @@ def fit_empirical(samples, cfg: FitConfig) -> FitReport:
     stalled and its polish met the stopping test of :func:`_polish`; a
     swarm stopped by ``cfg.max_iters`` is returned unpolished.  ``iters``
     counts swarm iterations, and ``notes`` holds one line per polished
-    restart.  The whole fit runs in doubles, so the report's
-    ``bits_used`` is 53; the model may hold fewer than ``cfg.n`` atoms.
+    restart.  The whole fit runs in doubles; the model may hold fewer
+    than ``cfg.n`` atoms.
     """
     arr = validate_samples(samples)
     d = arr.shape[1]
@@ -448,14 +445,11 @@ def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
     coefficients of a formal density, such as those of
     :func:`theoretical_coeffs`.
 
-    ``target`` must cover the box ``cfg`` resolves to in its dimension;
-    mpf entries are rounded to doubles, and the report's ``bits_used``
-    is 53.
+    ``target`` must cover the box ``cfg`` resolves to in its dimension.
     """
     rcfg = cfg.resolved(target.d)
     if target.m != rcfg.m:
         raise ValueError(f"target box {target.m} does not match box {rcfg.m}")
-    target = CoeffTensor(rcfg.m, target.as_float())
     return _run_swarm(target, target.d, rcfg, _digest(target.a, rcfg.m))
 
 

@@ -30,7 +30,6 @@ from mpmath import mpf
 from .laguerre import CoeffTensor, coeffs_from_moments
 from .numkit import (
     COEFF_DEFAULT,
-    MultiIndex,
     PrecisionContext,
     binom_prod,
     box_shape,
@@ -39,7 +38,6 @@ from .numkit import (
 
 __all__ = [
     "GgcModel",
-    "ShiftedTensors",
     "ModelCoeffs",
     "cgf",
     "simplex_scales",
@@ -99,9 +97,6 @@ class GgcModel:
     def total_mass(self) -> float:
         return float(self.alpha.sum())
 
-    def mean(self) -> np.ndarray:
-        return self.alpha @ self.scales
-
     def to_json(self) -> str:
         return json.dumps(
             {"alpha": self.alpha.tolist(), "scales": self.scales.tolist()}
@@ -114,22 +109,11 @@ class GgcModel:
 
 
 @dataclass
-class ShiftedTensors:
-    """Tensors of ``-1``-shifted cumulants and moments over a box,
-    with ``mu_0 = exp(kappa_0)`` exactly at working precision."""
-
-    m: MultiIndex
-    kappa: np.ndarray
-    mu: np.ndarray
-
-
-@dataclass
 class ModelCoeffs:
-    """Result of the coefficient recursion: the Laguerre tensor, the
-    shifted cumulant/moment side products and the precision used."""
+    """Result of the reference chain: the Laguerre tensor, rounded to
+    doubles, and the precision it was computed at."""
 
     coeffs: CoeffTensor
-    shifted: ShiftedTensors
     bits_used: int
 
 
@@ -237,8 +221,9 @@ def model_coeffs(
 
     The chain restarts with doubled precision whenever a shifted cumulant
     or moment exceeds ``2^(bits/2)``, so the returned values are always
-    finite and accurate; the final precision is reported.  This is the
-    reference that :func:`batch_coeffs` is tested against.
+    finite and accurate; they are rounded to doubles at the end, and the
+    final precision is reported.  This is the reference that
+    :func:`batch_coeffs` is tested against.
     """
     m = tuple(int(v) for v in m)
     bits = ctx.bits
@@ -250,7 +235,7 @@ def model_coeffs(
             mu = cumulants_to_moments(kappa, m, ctx)
             if all(abs(v) <= limit for v in mu.flat):
                 coeffs = coeffs_from_moments(mu, m, ctx)
-                return ModelCoeffs(coeffs, ShiftedTensors(m, kappa, mu), bits)
+                return ModelCoeffs(coeffs, bits)
         bits *= 2
 
 

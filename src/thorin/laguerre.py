@@ -46,9 +46,8 @@ _X_PLAIN = 700.0
 class CoeffTensor:
     """Dense tensor of Laguerre coefficients ``a_k`` for ``k <= m``.
 
-    ``a`` has shape ``(m_1+1, ..., m_d+1)``; entries are native floats
-    or extended-precision mpf values depending on how the tensor was
-    produced.
+    ``a`` has shape ``(m_1+1, ..., m_d+1)`` and holds doubles; mpf
+    entries are rounded once, when the tensor is built.
     """
 
     m: MultiIndex
@@ -56,12 +55,12 @@ class CoeffTensor:
 
     def __post_init__(self):
         self.m = tuple(int(v) for v in self.m)
-        self.a = np.asarray(self.a)
+        self.a = np.asarray(self.a, dtype=float)
         if self.a.shape != box_shape(self.m):
             raise ValueError(
                 f"coefficient array shape {self.a.shape} does not match box {self.m}"
             )
-        if self.a.dtype != object and not np.all(np.isfinite(self.a)):
+        if not np.all(np.isfinite(self.a)):
             raise ValueError("coefficient tensor contains non-finite entries")
 
     @property
@@ -72,10 +71,8 @@ class CoeffTensor:
         return self.a[tuple(k)]
 
     def as_float(self) -> np.ndarray:
-        """Coefficients as a float64 array (exact cast of mpf entries)."""
-        if self.a.dtype == object:
-            return np.array([float(v) for v in self.a.ravel()]).reshape(self.a.shape)
-        return self.a.astype(float)
+        """The float64 coefficient array itself, not a copy."""
+        return self.a
 
     def to_json(self) -> str:
         return json.dumps(
@@ -193,8 +190,9 @@ def coeffs_from_moments(mu, m: Sequence[int] = None, ctx: PrecisionContext = Non
     ``a_k = sqrt(2)^d sum_{l <= k} C(k,l) (-2)^{|l|} / l! mu_l``.
 
     ``mu`` is a dense array over the box (float or mpf entries); mpf
-    input keeps extended precision in the output.  The weights factor
-    over the axes, so the sum is applied one axis at a time.
+    input is summed at the precision of ``ctx``, and the returned tensor
+    holds doubles.  The weights factor over the axes, so the sum is
+    applied one axis at a time.
     """
     mu = np.asarray(mu)
     if m is None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 import mpmath
@@ -61,26 +60,15 @@ def _validate_index(k: Sequence[int]) -> MultiIndex:
     return k
 
 
-@lru_cache(maxsize=256)
-def _box_cache(m: MultiIndex) -> Tuple[MultiIndex, ...]:
-    ranges = [range(mi + 1) for mi in m]
-    idx = list(itertools.product(*ranges))
-    # graded colexicographic: primary |k|, colex tie break.  Any graded
-    # order extends the componentwise partial order, which the moment
-    # recursion requires.
-    idx.sort(key=lambda k: (sum(k), tuple(reversed(k))))
-    return tuple(idx)
-
-
 def iterate_box(m: Sequence[int]) -> Iterator[MultiIndex]:
-    """Yield every multi-index ``k <= m`` exactly once, in graded
-    colexicographic order.
+    """Yield every multi-index ``k <= m`` exactly once, in lexicographic
+    order.
 
     Every ``k`` appears after all ``k' < k`` (componentwise), so values
     computed along the iteration may depend on previously visited
     indices.
     """
-    return iter(_box_cache(_validate_index(m)))
+    return itertools.product(*(range(mi + 1) for mi in _validate_index(m)))
 
 
 def box_shape(m: Sequence[int]) -> Tuple[int, ...]:

@@ -17,7 +17,6 @@ residual is at most 1e-9.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -65,9 +64,6 @@ class WbReport:
             "total_mass": self.total_mass,
             "witness": self.witness,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 @dataclass

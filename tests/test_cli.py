@@ -43,9 +43,8 @@ class TestFit:
         report = json.loads((out / "report.json").read_text())
         assert report["loss"] < 1e-6
         assert report["wb"]["is_wb"] is True
-        for key in ("model", "loss", "wb", "m", "n", "seed", "bits_used", "tool_version"):
+        for key in ("model", "loss", "wb", "m", "n", "seed", "tool_version"):
             assert key in report
-        assert report["bits_used"] == 53
         ct = CoeffTensor.from_json((out / "coeffs.json").read_text())
         assert ct.m == (2,)
 
@@ -293,6 +292,16 @@ class TestSample:
         bad.write_text('{"alpha": [1.0]}')
         rc = main(["sample", "--model", str(bad), "--N", "5", "--output", str(tmp_path / "x.csv")])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", '"text"', '{"model": [1]}', '{"alpha": {"a": 1}, "scales": [[1]]}',
+    ])
+    def test_model_json_of_the_wrong_shape_is_data_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(["coeffs", "--model", str(bad), "--m", "3", "--output", str(tmp_path / "c.json")])
+        assert rc == EXIT_DATA
+        assert "invalid model JSON" in capsys.readouterr().err
 
 
 class TestCoeffsAndWb:
@@ -567,8 +576,6 @@ class TestProject:
             assert len(run.err.splitlines()) == 1 and "--bits has no effect" in run.err
             for name in ("report.json", "coeffs.json"):
                 assert (tmp_path / out / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
-        report = json.loads((tmp_path / "a" / "report.json").read_text())
-        assert report["bits_used"] == 53
 
     def test_unknown_density_lists_the_names(self, tmp_path, capsys):
         rc = main(["project", "--density", "nope", "--n", "1", "--output", str(tmp_path / "p")])
@@ -609,6 +616,27 @@ class TestEntryPoint:
                 pytest.fail(f"README command line does not parse: {' '.join(argv)}")
         modes = parser._subparsers._group_actions[0].choices
         assert {argv[1] for argv in lines} == set(modes)
+
+    def test_readme_library_tour_runs(self, capsys):
+        # the tour is executed as written, so it cannot drift from the API
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["fit", "--n", "1", "--output", "{out}", "--input", "{dir}"], "input file not found"),
+        (["coeffs", "--m", "3", "--output", "{out}", "--model", "{dir}"], "model file not found"),
+        (["check-wb", "--output", "{out}", "--model", "{dir}"], "model file not found"),
+        (["fit", "--input", "x.csv", "--output", "{out}", "--config", "{dir}"],
+         "config file not found"),
+    ])
+    def test_directory_path_is_not_found(self, tmp_path, capsys, argv, needle):
+        out = tmp_path / "out"
+        argv = [a.format(out=out, dir=tmp_path) for a in argv]
+        assert main(argv) == EXIT_CONFIG
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
 
     def test_import_loads_no_heavy_scipy_module(self):
         # start-up cost: the library needs only scipy.special

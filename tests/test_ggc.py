@@ -222,12 +222,13 @@ class TestModelCoeffs:
         assert np.all(np.abs(a[1:]) <= 1e-12)
 
     def test_side_products_consistent(self):
-        mc = model_coeffs(GgcModel([1.0], [[1.0]]), (3,))
-        assert float(mc.shifted.mu[(0,)]) == pytest.approx(0.5, rel=1e-14)
-        assert float(mc.shifted.kappa[(1,)]) == pytest.approx(0.5, rel=1e-14)
+        kappa = shifted_cumulants(GgcModel([1.0], [[1.0]]), (3,))
+        mu = cumulants_to_moments(kappa, (3,))
+        assert float(mu[(0,)]) == pytest.approx(0.5, rel=1e-14)
+        assert float(kappa[(1,)]) == pytest.approx(0.5, rel=1e-14)
         # mu_0 = exp(kappa_0) exactly at the producing precision
         with mpmath.workprec(256):
-            assert mpmath.exp(mc.shifted.kappa[(0,)]) == mc.shifted.mu[(0,)]
+            assert mpmath.exp(kappa[(0,)]) == mu[(0,)]
 
     def test_matches_single_atom_closed_form(self):
         rng = np.random.default_rng(5)

@@ -285,6 +285,20 @@ class TestCoeffTensor:
         with pytest.raises(ValueError):
             CoeffTensor((1,), np.array([1.0, np.inf]))
 
+    def test_mpf_entries_rounded_once_to_float64(self):
+        with mpmath.workprec(256):
+            vals = [mpmath.mpf(1) / 3, -mpmath.sqrt(2) * 10**40, mpmath.exp(-720), mpmath.pi]
+        ct = CoeffTensor((1, 1), np.array(vals, dtype=object).reshape(2, 2))
+        assert ct.a.dtype == np.float64
+        expected = np.array([float(v) for v in vals]).reshape(2, 2)
+        assert np.array_equal(ct.a.view(np.int64), expected.view(np.int64))
+        assert ct.as_float() is ct.a
+
+    @pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
+    def test_rejects_non_finite_mpf(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            CoeffTensor((1,), np.array([mpmath.mpf(1), bad], dtype=object))
+
 
 class TestValidateSamples:
     def test_promotes_vector(self):
