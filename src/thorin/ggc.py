@@ -25,6 +25,9 @@ from typing import Sequence, Tuple
 
 import mpmath
 import numpy as np
+# numpy 2 loads its random module on first use; fit, project, sample,
+# validate and bench all draw from it, so it is part of start-up here
+import numpy.random  # noqa: F401
 from mpmath import mpf
 
 from .laguerre import CoeffTensor, coeffs_from_moments
@@ -461,7 +464,7 @@ def sample(model: GgcModel, N: int, seed: int | np.random.Generator) -> np.ndarr
     if N < 1:
         raise ValueError("N must be >= 1")
     rng = np.random.default_rng(seed)
-    Z = rng.gamma(model.alpha, 1.0, size=(int(N), model.n))
+    Z = rng.standard_gamma(model.alpha, size=(int(N), model.n))
     return Z @ model.scales
 
 

@@ -638,13 +638,48 @@ class TestEntryPoint:
         assert needle in capsys.readouterr().err
         assert not out.exists()
 
-    def test_import_loads_no_heavy_scipy_module(self):
-        # start-up cost: the library needs only scipy.special
-        heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.integrate")
-        code = f"import sys, thorin.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    def test_import_loads_no_scipy_module(self):
+        # start-up cost: every command pays the import, and the library
+        # runs on numpy and mpmath alone
+        code = "import sys, thorin.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_only_bench_loads_scipy(self, tmp_path):
+        # fit, check-wb and validate run in one fresh interpreter, each
+        # followed by the scipy modules loaded so far; bench's Clayton
+        # sampler takes its normal quantile from scipy.special, which shows
+        # that the check sees a scipy import
+        xs = sample(GgcModel([2.0], [[3.0]]), 2000, seed=17)
+        np.savetxt(tmp_path / "x.csv", xs, delimiter=",")
+        model = tmp_path / "model.json"
+        model.write_text(GgcModel([2.0], [[3.0]]).to_json())
+        runs = [
+            ["fit", "--input", "{dir}/x.csv", "--output", "{dir}/fit", "--n", "1", "--m", "2",
+             "--iters", "20", "--restarts", "1"],
+            ["check-wb", "--model", "{dir}/fit/report.json", "--output", "{dir}/wb"],
+            ["validate", "--model", "{dir}/model.json", "--target", "lognormal", "--N", "300",
+             "--B", "3", "--output", "{dir}/val"],
+            ["bench", "--name", "clayton_pareto_lognormal", "--N", "10",
+             "--output", "{dir}/b.csv"],
+        ]
+        runs = [[a.format(dir=tmp_path) for a in argv] for argv in runs]
+        code = (
+            "import json, sys\n"
+            "from thorin.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    rc = main(argv)\n"
+            "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "    print(json.dumps([argv[0], rc, loaded]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = [json.loads(ln) for ln in proc.stdout.splitlines() if ln.startswith('["')]
+        assert [(cmd, rc) for cmd, rc, _ in lines] == [(argv[0], EXIT_OK) for argv in runs]
+        assert {cmd: loaded for cmd, _, loaded in lines[:3]} == {
+            "fit": [], "check-wb": [], "validate": []}
+        assert "scipy.special" in lines[3][2]
 
 
 class TestBenchmarkTraceContract:

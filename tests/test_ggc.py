@@ -525,6 +525,17 @@ class TestSample:
         c = sample(m, 1000, seed=8)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("alpha, scales", [
+        ([0.546, 2.454], [[1.0], [3.0]]),
+        ([0.3, 1.0, 7.5], [[1.0, 0.5], [0.0, 2.0], [0.2, 0.0]]),
+    ])
+    def test_stream_is_that_of_the_scaled_gamma_draw(self, alpha, scales):
+        # the fitted data of the acceptance checks are drawn from this
+        # stream, so it stays bit for bit that of rng.gamma(alpha, 1.0)
+        m = GgcModel(alpha, scales)
+        Z = np.random.default_rng(12).gamma(m.alpha, 1.0, size=(5000, m.n))
+        assert np.array_equal(sample(m, 5000, seed=12), Z @ m.scales)
+
 
 class TestMoschopoulos:
     def test_single_atom_reduces_to_gamma(self):

@@ -3,13 +3,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln, rgamma
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kendalltau, kstwo, norm
 
 from thorin.ggc import GgcModel, sample
 from thorin.validate import (
+    _inv_factorial,
     _ks_sf,
+    _log_factorials,
     _log_nfact_over_nn,
+    _ndtr,
     BENCH_NAMES,
     bench_cdf,
     bench_density_mp,
@@ -102,6 +106,44 @@ class TestKsSf:
         ref = np.array(ref)
         assert np.any(ref < 0.025)
         assert np.all(np.abs(got - ref) <= 1e-9 * ref + 1e-14)
+
+
+class TestInRepoSpecialFunctions:
+    def test_ndtr_to_mpmath(self):
+        # the branch points 7.07 and 37 on each side, and a fine grid
+        edges = [b * s * f for b in (7.07106781186547, 37.0) for s in (-1.0, 1.0)
+                 for f in (1 - 1e-12, 1.0, 1 + 1e-12)]
+        z = np.concatenate([np.linspace(-40.0, 40.0, 8001), edges])
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.ncdf(mpmath.mpf(v))) for v in z])
+        got = _ndtr(z)
+        assert np.abs(got - ref).max() <= 5e-16
+        # the documented relative error of the lower tail, down to -37
+        lower = (z <= 0.0) & (z >= -37.0)
+        assert np.all(np.abs(got[lower] - ref[lower]) <= 1e-8 * ref[lower])
+
+    def test_ndtr_keeps_shape_and_limits(self):
+        got = _ndtr(np.array([[-np.inf, 0.0], [np.inf, np.nan]]))
+        assert got.shape == (2, 2)
+        assert got[0, 0] == 0.0 and got[0, 1] == 0.5 and got[1, 0] == 1.0
+        assert np.isnan(got[1, 1])
+        assert float(_ndtr(1.0)) == pytest.approx(0.8413447460685429, abs=2e-16)
+
+    @pytest.mark.parametrize("n", [1, 2, 140, 10_000, 100_000])
+    def test_log_factorials_match_gammaln(self, n):
+        # _smirnov_sf reads log k! at k = 0..n
+        ref = gammaln(np.arange(n + 1) + 1.0)
+        np.testing.assert_allclose(_log_factorials(n), ref, rtol=1e-15, atol=0.0)
+
+    def test_inv_factorials_match_rgamma(self):
+        # _durbin_cdf reads 1/k! at k = i - j + 1 over a matrix of order m,
+        # so k runs from 2 - m to m, with 0 at every negative k
+        k = np.arange(-250, 251)
+        ref = rgamma(k + 1.0)
+        got = _inv_factorial(k)
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+        assert _inv_factorial(5) == 1.0 / 120
 
 
 class TestQqPoints:
