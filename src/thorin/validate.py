@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -232,19 +234,57 @@ def qq_points(samples, quantile_fn: Callable, count: int, drop_tail: int = 0):
     return np.column_stack([theo[:keep], emp[:keep]])
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resampled_pvalues(
     model: GgcModel, true_cdf: Callable, N: int, B: int, seed: int
 ) -> np.ndarray:
     """``B`` independent exact-KS p-values of size-``N`` model samples
-    against a reference cdf; replicate RNG streams are split from the
-    seed, so the output is reproducible."""
+    against a reference cdf.
+
+    Replicate ``i`` draws from the ``i``-th stream split from ``seed`` and
+    writes only the ``i``-th p-value, so the output is reproducible and does
+    not depend on the thread count. The replicates run on as many threads
+    as the process has CPUs, at most ``B``, the calling thread among them;
+    sampling releases the interpreter lock. ``true_cdf`` is therefore
+    called from several threads at once and must be thread-safe. The
+    first exception a replicate raises stops the others and is raised
+    here.
+    """
     if model.d != 1:
         raise ValueError("resampling validation is univariate")
+    if B < 1:
+        raise ValueError("B must be >= 1")
     streams = np.random.SeedSequence(seed).spawn(B)
-    return np.array(
-        [ks_exact(sample(model, N, np.random.default_rng(ss)).ravel(), true_cdf).p_value
-         for ss in streams]
-    )
+    pv = np.empty(B)
+    errors = []
+    workers = min(_cpu_count(), B)
+
+    def replicates(first: int) -> None:
+        try:
+            for i in range(first, B, workers):
+                if errors:
+                    return
+                xs = sample(model, N, np.random.default_rng(streams[i])).ravel()
+                pv[i] = ks_exact(xs, true_cdf).p_value
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=replicates, args=(k,)) for k in range(1, workers)]
+    for t in threads:
+        t.start()
+    replicates(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return pv
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -49,8 +50,8 @@ class TestFit:
         assert ct.m == (2,)
 
     def test_precision_and_thread_flags_only_where_used(self, tmp_path, gamma_csv):
-        # fits run in doubles and validation in one thread: both flags are
-        # usage errors there
+        # fits run in doubles and validate picks its own thread count: both
+        # flags are usage errors there
         rc = main(["fit", "--input", str(gamma_csv), "--output", str(tmp_path / "o"),
                    "--n", "1", "--bits", "128"])
         assert rc == EXIT_CONFIG
@@ -421,6 +422,26 @@ class TestValidateCmd:
         assert pv.shape == (4,)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["B"] == 4 and summary["N"] == 500
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_output_bytes_pinned(self, tmp_path, monkeypatch, workers):
+        # the bytes of one fixed run of the paper's n=2 log-normal
+        # projection: neither the sample stream, nor the p-values, nor
+        # their formatting may move unseen, at any thread count
+        monkeypatch.setattr("thorin.validate._cpu_count", lambda: workers)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GgcModel([0.5458, 2.4539], [[1.6283], [0.1999]]).to_json())
+        out = tmp_path / "val"
+        rc = main(["validate", "--model", str(model_path), "--target", "lognormal",
+                   "--params", "mu=0,sigma=0.83", "--N", "2000", "--B", "7",
+                   "--seed", "11", "--output", str(out)])
+        assert rc == EXIT_OK
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("pvalues.csv", "summary.json")}
+        assert digests == {
+            "pvalues.csv": "2ae62a295bb08547b4be145292aea4c925ddc3657767f7c3b3900382bbcebb02",
+            "summary.json": "353a12ad2d3f94d9008e1ccab8f4e1eb67f0f137090e8913e5fe2bff4b129ea3",
+        }
 
     @pytest.mark.parametrize("flag", ["--N", "--B"])
     def test_zero_count_is_config_error(self, tmp_path, flag):

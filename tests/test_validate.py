@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -207,6 +210,54 @@ class TestResampledPvalues:
             resampled_pvalues(
                 GgcModel([1.0], [[1.0, 1.0]]), lambda x: x, 100, 2, seed=0
             )
+
+    @pytest.mark.parametrize("B", [0, -1])
+    def test_replicate_count_must_be_positive(self, B):
+        with pytest.raises(ValueError, match="B must be >= 1"):
+            resampled_pvalues(GgcModel([1.0], [[1.0]]), lambda x: x, 100, B, seed=0)
+
+    @pytest.mark.parametrize("B", [1, 5, 60])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_threads_reproduce_the_serial_loop(self, monkeypatch, workers, B):
+        # each replicate owns its stream and its slot, so every thread
+        # count gives the bits of one loop over the streams; the 1.5%
+        # misfit spreads the p-values over the KS tail's branches, and a
+        # short switch interval interleaves the threads as often as it can
+        monkeypatch.setattr("thorin.validate._cpu_count", lambda: workers)
+        model = GgcModel([2.0], [[2.0]])
+        dist = gamma_dist(2.0, scale=2.03)
+        callers = set()
+
+        def cdf(x):
+            callers.add(threading.current_thread())
+            return dist.cdf(x)
+
+        N, seed = 10_000, 7
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = resampled_pvalues(model, cdf, N, B, seed)
+        finally:
+            sys.setswitchinterval(interval)
+        ref = np.array(
+            [ks_exact(sample(model, N, np.random.default_rng(ss)).ravel(), dist.cdf).p_value
+             for ss in np.random.SeedSequence(seed).spawn(B)]
+        )
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert len(callers) == min(workers, B)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_replicate_exception_reaches_caller(self, monkeypatch, workers):
+        monkeypatch.setattr("thorin.validate._cpu_count", lambda: workers)
+        calls = itertools.count(1)
+
+        def cdf(x):
+            if next(calls) == 3:
+                raise ArithmeticError("third call")
+            return x / (1.0 + x)
+
+        with pytest.raises(ArithmeticError, match="third call"):
+            resampled_pvalues(GgcModel([1.0], [[1.0]]), cdf, 100, 6, seed=0)
 
 
 class TestBenchSamplers:
