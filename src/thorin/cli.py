@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 data error, 3 config error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -44,6 +45,8 @@ EXIT_DATA = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
+_COMMANDS = ("fit", "project", "sample", "coeffs", "check-wb", "validate", "bench")
+
 
 class DataError(Exception):
     pass
@@ -57,29 +60,33 @@ def _read_csv(path: str) -> np.ndarray:
     """Comma-separated numeric columns, '.' decimals, optional single
     header row (the first non-blank line, when one of its cells is
     non-empty and not a number).  Blank lines are skipped; every error
-    numbers rows over the non-blank lines, header included."""
+    numbers rows over the non-blank lines, header included.  The lines
+    are streamed to the parser, never held as a list."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"input file not found: {path}")
     with open(p) as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    start = 0
-    try:
-        [float(v) for v in lines[0].split(",") if v.strip()]
-    except ValueError:
-        start = 1
-    if start == len(lines):
-        raise DataError(f"{path}: no data rows")
-    try:
-        arr = np.loadtxt(lines[start:], delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        # numpy counts data rows from 0 when a cell does not convert and
-        # from 1 when the width changes
-        base = start + ("could not convert" in str(exc))
-        raise DataError(f"{path}: " + re.sub(
-            r"\brow (\d+)", lambda g: f"row {base + int(g[1])}", str(exc)))
+        lines = (ln for ln in map(str.strip, fh) if ln)
+        first = next(lines, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        start = 0
+        try:
+            [float(v) for v in first.split(",") if v.strip()]
+        except ValueError:
+            start = 1
+            first = next(lines, None)
+            if first is None:
+                raise DataError(f"{path}: no data rows")
+        try:
+            arr = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
+                             comments=None)
+        except ValueError as exc:
+            # numpy counts data rows from 0 when a cell does not convert and
+            # from 1 when the width changes
+            base = start + ("could not convert" in str(exc))
+            raise DataError(f"{path}: " + re.sub(
+                r"\brow (\d+)", lambda g: f"row {base + int(g[1])}", str(exc)))
     bad = np.argwhere(~np.isfinite(arr) | (arr < 0))
     if bad.size:
         i, j = bad[0]
@@ -314,7 +321,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str = None) -> argparse.ArgumentParser:
+    """The ``thorin`` parser with every command's subparser, or with only
+    the one named ``only``; its usage line names every command either way."""
     ap = argparse.ArgumentParser(
         prog="thorin",
         description="Laguerre expansions and estimation of multivariate "
@@ -322,9 +331,12 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     ap.add_argument("--version", action="version", version=f"thorin {__version__}")
-    sub = ap.add_subparsers(dest="mode", required=True)
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="mode", required=True, metavar=metavar)
 
     def command(name, func, help, fit=False):
+        if only not in (None, name):
+            return None
         # no abbreviated flags: a config key is a flag spelled in full
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
@@ -339,53 +351,53 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--restarts", type=int, default=None)
         return p
 
-    p = command("fit", cmd_fit, "fit a model to CSV observations", fit=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True, help="output directory")
+    if p := command("fit", cmd_fit, "fit a model to CSV observations", fit=True):
+        p.add_argument("--input", required=True)
+        p.add_argument("--output", required=True, help="output directory")
 
-    p = command("project", cmd_project, "project a formal density onto the class", fit=True)
-    # kept, with the bits config key, because the benchmark's project-1d
-    # workload (benchmarks/run.py, run through benchmarks/worker.py) passes --bits 512
-    p.add_argument("--bits", type=int, default=None,
-                   help="accepted and ignored: the target is computed in doubles")
-    p.add_argument("--density", required=True)
-    p.add_argument("--params", default="", help="e.g. mu=0,sigma=0.83")
-    p.add_argument("--output", required=True, help="output directory")
+    if p := command("project", cmd_project, "project a formal density onto the class", fit=True):
+        # kept, with the bits config key, because the benchmark's project-1d
+        # workload (benchmarks/run.py, run through benchmarks/worker.py) passes --bits 512
+        p.add_argument("--bits", type=int, default=None,
+                       help="accepted and ignored: the target is computed in doubles")
+        p.add_argument("--density", required=True)
+        p.add_argument("--params", default="", help="e.g. mu=0,sigma=0.83")
+        p.add_argument("--output", required=True, help="output directory")
 
-    p = command("sample", cmd_sample, "draw samples from a model JSON")
-    p.add_argument("--model", required=True)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--output", required=True, help="output CSV")
+    if p := command("sample", cmd_sample, "draw samples from a model JSON"):
+        p.add_argument("--model", required=True)
+        p.add_argument("--N", type=int, default=None)
+        p.add_argument("--output", required=True, help="output CSV")
 
-    p = command("coeffs", cmd_coeffs, "Laguerre coefficients of a model JSON")
-    p.add_argument("--model", required=True)
-    p.add_argument("--m", type=_box, required=True, help="comma list, e.g. 20,20")
-    p.add_argument("--output", required=True, help="output JSON")
+    if p := command("coeffs", cmd_coeffs, "Laguerre coefficients of a model JSON"):
+        p.add_argument("--model", required=True)
+        p.add_argument("--m", type=_box, required=True, help="comma list, e.g. 20,20")
+        p.add_argument("--output", required=True, help="output JSON")
 
-    p = command("check-wb", cmd_check_wb, "well-behavedness diagnostics")
-    p.add_argument("--model", required=True)
-    p.add_argument("--output", required=True, help="output JSON")
+    if p := command("check-wb", cmd_check_wb, "well-behavedness diagnostics"):
+        p.add_argument("--model", required=True)
+        p.add_argument("--output", required=True, help="output JSON")
 
-    p = command("validate", cmd_validate, "resampled KS p-values against a benchmark")
-    p.add_argument("--model", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--params", default="")
-    p.add_argument("--N", type=int, default=10_000)
-    p.add_argument("--B", type=int, default=50)
-    p.add_argument("--output", required=True, help="output directory")
+    if p := command("validate", cmd_validate, "resampled KS p-values against a benchmark"):
+        p.add_argument("--model", required=True)
+        p.add_argument("--target", required=True)
+        p.add_argument("--params", default="")
+        p.add_argument("--N", type=int, default=10_000)
+        p.add_argument("--B", type=int, default=50)
+        p.add_argument("--output", required=True, help="output directory")
 
-    p = command("bench", cmd_bench, "sample a benchmark distribution")
-    p.add_argument("--name", required=True)
-    p.add_argument("--params", default="")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--output", required=True, help="output CSV")
+    if p := command("bench", cmd_bench, "sample a benchmark distribution"):
+        p.add_argument("--name", required=True)
+        p.add_argument("--params", default="")
+        p.add_argument("--N", type=int, default=None)
+        p.add_argument("--output", required=True, help="output CSV")
     return ap
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
     """One parse of the command line; with ``--config`` the file's values
     are parsed as flags placed before the command line's, so those win."""
-    ap = _build_parser()
+    ap = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = ap.parse_args(argv)
     if getattr(args, "config", None):
         args = ap.parse_args(argv[:1] + _config_argv(args.config) + argv[1:])

@@ -128,7 +128,8 @@ def phi_univariate(kmax: int, xs: np.ndarray) -> np.ndarray:
             L2 = ((2.0 * k + 1.0 - 2.0 * xs) * L1 - k * L0) / (k + 1.0)
             out[k + 1] = L2
             L0, L1 = L1, L2
-    return out * (_SQRT2 * np.exp(-xs))[None, :]
+    out *= (_SQRT2 * np.exp(-xs))[None, :]
+    return out
 
 
 def _phi_far(kmax: int, xs: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ the O(n^d) subspaces and affine hyperplanes spanned by atoms, so there is
 no cap on the atom count.  It runs in doubles under two rules: rows
 have rank below r when their r-th singular value is at most 1e-13 of
 the largest, and an atom lies on ``<s, t> = 1`` when its relative
-residual is at most 1e-9.
+residual is at most 1e-9.  The atom tuples are screened a chunk at a
+time, with stacked linear algebra in bounded scratch, and only the
+tuples that may carry a majority are decided one by one.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ __all__ = [
 _RAY_TOL = 1e-9
 _RANK_TOL = 1e-13
 _ON_TOL = 1e-9
+_MASS_TIE = 1e-9  # relative slack of a chunk's mass screen in _majority_eps
+_SEARCH_BYTES = 2**20  # rank-rule stacks of one chunk of atom tuples in _majority_eps
 
 
 @dataclass
@@ -160,6 +164,21 @@ def _interval_eps_1d(scales: np.ndarray) -> float:
     return min(_h_modulus(complex(s)) for s in scales.ravel()) - 1.0
 
 
+def _combination_chunks(n: int, k: int, first: int, size: int):
+    """``itertools.combinations(range(n), k)`` in order, as ``(c, k)``
+    index arrays: ``first`` tuples, then twice as many each time, up to
+    ``size``."""
+    combos = itertools.combinations(range(n), k)
+    c = first
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, c)),
+                           dtype=np.intp)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, k)
+        c = min(2 * c, size)
+
+
 def _majority_eps(alpha: np.ndarray, scales: np.ndarray) -> Tuple[float, Optional[str]]:
     """Supremum margin over the majority subsets of atoms in d >= 2.
 
@@ -167,37 +186,59 @@ def _majority_eps(alpha: np.ndarray, scales: np.ndarray) -> Tuple[float, Optiona
     R^d, or the atoms in the span of some d-1 independent atoms carry
     more than half the mass.  A consistent full-rank majority subset
     with solution ``t`` exists iff the hyperplane ``<s, t> = 1`` through
-    some d independent atoms holds more than half the mass.  Both
-    searches visit the O(n^d) atom tuples and test all atoms against
-    each one in a single vectorized step, by the rank and membership
-    rules of :func:`_subset_geometry`.
+    some d independent atoms holds more than half the mass.
+
+    Both searches walk the atom tuples in combination order, in chunks
+    whose scratch (tuples x atoms x d^2 doubles) fits ``_SEARCH_BYTES``;
+    the subspace search, the only one that returns early, starts 64
+    times smaller and doubles its chunk.  A chunk takes one stacked SVD
+    for the rank rule, and the hyperplane search adds one stacked solve
+    of the d x d systems and one ``einsum`` for the residual of every
+    (tuple, atom) pair.  The chunk only screens: a tuple whose masked
+    mass may reach half the total (within ``_MASS_TIE``; for a hyperplane,
+    counting the atoms within twice the membership tolerance) is decided
+    again on its own, in order, by :func:`_subset_geometry` and
+    :func:`_on_hyperplane`.  So the margin, its witness and the
+    first-wins ties do not depend on the chunks.
     """
     n, d = scales.shape
     total = alpha.sum()
     if _rank_below(scales[None], d)[0]:
         return 0.0, f"rank-deficient majority subset {tuple(range(n))}"
-    for basis in itertools.combinations(range(n), d - 1):
-        rows = scales[list(basis)]
-        if _rank_below(rows[None], d - 1)[0]:
-            continue
-        stack = np.concatenate([np.broadcast_to(rows, (n, d - 1, d)), scales[:, None]], axis=1)
-        inside = _rank_below(stack, d)
-        if 2.0 * alpha[inside].sum() > total:
-            return 0.0, f"rank-deficient majority subset {tuple(np.flatnonzero(inside).tolist())}"
+    size = max(1, _SEARCH_BYTES // (8 * n * d * d))
+    for bases in _combination_chunks(n, d - 1, max(1, size // 64), size):
+        bases = bases[~_rank_below(scales[bases], d - 1)]
+        stack = np.empty((len(bases), n, d, d))
+        stack[:, :, : d - 1] = scales[bases][:, None]
+        stack[:, :, d - 1] = scales
+        inside = _rank_below(stack.reshape(-1, d, d), d).reshape(-1, n)
+        mass = np.where(inside, alpha, 0.0).sum(axis=1)
+        for on in inside[2.0 * mass >= (1.0 - _MASS_TIE) * total]:
+            if 2.0 * alpha[on].sum() > total:
+                return 0.0, f"rank-deficient majority subset {tuple(np.flatnonzero(on).tolist())}"
     best, witness = math.inf, None
-    for basis in itertools.combinations(range(n), d):
-        t = _subset_geometry(scales[list(basis)])[1]
-        if t is None:
-            continue
-        on = _on_hyperplane(scales, t)
-        if 2.0 * alpha[on].sum() > total:
-            # solve over every atom on the hyperplane, so that all the
-            # d-tuples spanning it give the same singular point
-            refit = _subset_geometry(scales[on])[1]
-            t = t if refit is None else refit
-            eps = _subset_eps(t)
-            if eps < best:
-                best, witness = eps, f"subset {tuple(np.flatnonzero(on).tolist())}"
+    both = np.stack([scales, np.abs(scales)])
+    for bases in _combination_chunks(n, d, size, size):
+        bases = bases[~_rank_below(scales[bases], d)]
+        ts = np.linalg.solve(scales[bases], np.ones((len(bases), d, 1)))[..., 0]
+        dot, scale = np.einsum("knj,kcj->kcn", both, np.stack([ts, np.abs(ts)]))
+        # twice the tolerance: the solve's t may differ in its last bits
+        # from the least-squares t that decides membership
+        near = np.abs(dot - 1.0) <= 2.0 * _ON_TOL * (1.0 + scale)
+        mass = np.where(near, alpha, 0.0).sum(axis=1)
+        for basis in bases[2.0 * mass >= (1.0 - _MASS_TIE) * total]:
+            t = _subset_geometry(scales[basis])[1]
+            if t is None:
+                continue
+            on = _on_hyperplane(scales, t)
+            if 2.0 * alpha[on].sum() > total:
+                # solve over every atom on the hyperplane, so that all the
+                # d-tuples spanning it give the same singular point
+                refit = _subset_geometry(scales[on])[1]
+                t = t if refit is None else refit
+                eps = _subset_eps(t)
+                if eps < best:
+                    best, witness = eps, f"subset {tuple(np.flatnonzero(on).tolist())}"
     return best, witness
 
 
@@ -207,7 +248,9 @@ def best_eps(model: GgcModel) -> WbReport:
     Zero means not well-behaved; ``inf`` means no majority subset
     produces a bounded singular point.  In d >= 2 the majority subsets
     are searched through the O(n^d) candidate subspaces and hyperplanes
-    spanned by atoms, so any atom count is decided.
+    spanned by atoms, screened in chunks of atom tuples whose scratch
+    ``_SEARCH_BYTES`` bounds, so any atom count is decided in bounded
+    memory.
     """
     total = model.total_mass
     if total <= 1.0:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from thorin.numkit import box_shape, iterate_box
-from thorin.wellbehaved import _subset_eps, _subset_geometry
+from thorin.wellbehaved import _on_hyperplane, _rank_below, _subset_eps, _subset_geometry
 
 
 def set_partitions(elements):
@@ -72,6 +72,38 @@ def enumerated_best_eps(model) -> float:
             if t is not None:
                 best = min(best, _subset_eps(t))
     return best
+
+
+def per_tuple_majority_eps(alpha: np.ndarray, scales: np.ndarray):
+    """``(eps, witness)`` of the majority search in d >= 2, one atom
+    tuple at a time: an SVD, a least-squares solve and two membership
+    tests per tuple, in combination order.  The chunked search in
+    ``wellbehaved._majority_eps`` must agree with it bit for bit."""
+    n, d = scales.shape
+    total = alpha.sum()
+    if _rank_below(scales[None], d)[0]:
+        return 0.0, f"rank-deficient majority subset {tuple(range(n))}"
+    for basis in itertools.combinations(range(n), d - 1):
+        rows = scales[list(basis)]
+        if _rank_below(rows[None], d - 1)[0]:
+            continue
+        stack = np.concatenate([np.broadcast_to(rows, (n, d - 1, d)), scales[:, None]], axis=1)
+        inside = _rank_below(stack, d)
+        if 2.0 * alpha[inside].sum() > total:
+            return 0.0, f"rank-deficient majority subset {tuple(np.flatnonzero(inside).tolist())}"
+    best, witness = math.inf, None
+    for basis in itertools.combinations(range(n), d):
+        t = _subset_geometry(scales[list(basis)])[1]
+        if t is None:
+            continue
+        on = _on_hyperplane(scales, t)
+        if 2.0 * alpha[on].sum() > total:
+            refit = _subset_geometry(scales[on])[1]
+            t = t if refit is None else refit
+            eps = _subset_eps(t)
+            if eps < best:
+                best, witness = eps, f"subset {tuple(np.flatnonzero(on).tolist())}"
+    return best, witness
 
 
 def stdout_per_blas_threads(code: str):

@@ -6,6 +6,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,7 @@ class TestFit:
 # (file text, exit code, what the message must hold)
 _BAD_CSV = {
     "header only": ("x,y\n", EXIT_DATA, ["no data rows"]),
+    "header then blank lines": ("x,y\n\n  \n", EXIT_DATA, ["no data rows"]),
     "blank lines only": ("\n  \n\t\n", EXIT_DATA, ["empty file"]),
     "nan": ("1,2\n3,nan\n", EXIT_DATA, ["non-finite", "row 2", "column 2"]),
     "inf": ("x,y\n1,2\n\ninf,3\n", EXIT_DATA, ["non-finite", "row 3", "column 1"]),
@@ -233,6 +235,35 @@ class TestCsvFiles:
         assert want.shape == (2, 2)
         got = cli._read_csv(str(variant))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad, needle", [("7,x", "'x' to float64 at row"),
+                                             ("7,8,9", "from 2 to 3 at row")])
+    def test_row_numbers_past_the_parser_chunk(self, tmp_path, capsys, bad, needle):
+        # numpy parses streamed lines 50 000 at a time; rows are still
+        # numbered over the file's non-blank lines, header included
+        rows = [f"{i},{i}" for i in range(60_000)]
+        rows[55_000] = bad
+        text = "x,y\n" + "".join(r + ("\n\n" if i % 1000 == 0 else "\n")
+                                 for i, r in enumerate(rows))
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        rc = main(["fit", "--input", str(path), "--output", str(tmp_path / "o"), "--n", "1"])
+        assert rc == EXIT_DATA
+        assert f"{needle} 55002" in capsys.readouterr().err
+
+    def test_lines_are_streamed(self, tmp_path):
+        # no list of the file's lines: the peak stays near the array itself
+        data = np.arange(200_000, dtype=float).reshape(-1, 2) / 7
+        path = tmp_path / "big.csv"
+        cli._write_csv(path, data, header="x,y")
+        tracemalloc.start()
+        try:
+            got = cli._read_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == data.tobytes()
+        assert peak < 3 * data.nbytes
 
     def test_one_column_reads_as_n_by_1(self, tmp_path):
         path = tmp_path / "col.csv"
@@ -615,6 +646,33 @@ class TestProject:
 class TestEntryPoint:
     def test_usage_error_maps_to_config_exit(self):
         assert main([]) == EXIT_CONFIG
+
+    def test_command_names_are_the_full_parsers(self):
+        modes = cli._build_parser()._subparsers._group_actions[0].choices
+        assert tuple(modes) == cli._COMMANDS
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["--version"]])
+    def test_full_parser_without_a_command(self, capsys, argv):
+        # no command named: the text is the full parser's
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        main(argv)
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("name", cli._COMMANDS)
+    def test_one_subparser_per_command(self, capsys, name):
+        # a named command builds only its own subparser, and says the same
+        ap = cli._build_parser(name)
+        assert list(ap._subparsers._group_actions[0].choices) == [name]
+        full = cli._build_parser()
+        assert ap.format_usage() == full.format_usage()
+        for argv in ([name, "--help"], [name, "--no-such-flag"], [name, "--seed", "0", "extra"]):
+            with pytest.raises(SystemExit):
+                full.parse_args(argv)
+            want = capsys.readouterr()
+            main(argv)
+            assert capsys.readouterr() == want, argv
 
     def test_installed_script_version(self):
         proc = subprocess.run(

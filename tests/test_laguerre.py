@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -96,6 +97,18 @@ class TestPhi:
                         assert got[k, i] == pytest.approx(ref, rel=1e-12), (k, x)
                     else:
                         assert abs(got[k, i] - ref) <= 1e-300, (k, x)
+
+    def test_scaled_in_place(self):
+        # the e^{-x} factor scales the recurrence's output where it lies:
+        # no second (kmax+1) x N matrix
+        xs = np.linspace(0.0, 30.0, 100_000)
+        tracemalloc.start()
+        try:
+            out = phi_univariate(20, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 8 * xs.nbytes
 
     def test_orthonormality_by_quadrature(self):
         for j in range(0, 11, 2):

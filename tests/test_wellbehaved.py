@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracle_helpers import enumerated_best_eps
+from oracle_helpers import enumerated_best_eps, per_tuple_majority_eps
+from thorin import wellbehaved
 from thorin.ggc import GgcModel, concatenate, model_coeffs
 from thorin.laguerre import CoeffTensor
 from thorin.wellbehaved import (
     HalfPlaneImage,
     _interval_eps_1d,
     _subset_eps,
+    _subset_geometry,
     best_eps,
     classify_dependence,
     decay_check,
@@ -314,6 +316,101 @@ class TestBestEps:
             image = GgcModel(m.alpha, m.scales @ A)
             assert best_eps(image).is_wb
             done += 1
+
+
+def assert_same_search(alpha, scales):
+    """The chunked majority search against the per-tuple one: the same
+    witness, and the same margin bit for bit."""
+    got = wellbehaved._majority_eps(alpha, scales)
+    want = per_tuple_majority_eps(alpha, scales)
+    assert got[1] == want[1]
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
+def random_models(sizes=((60, 2), (30, 3))):
+    """Atoms uniform in a box, with geometric masses (a few atoms carry
+    a majority) and with uniform ones (none does)."""
+    rng = np.random.default_rng(21)
+    for n, d in sizes:
+        scales = rng.uniform(0.05, 3.0, (n, d))
+        yield 3.0 * 0.7 ** np.arange(n), scales
+        yield rng.uniform(0.2, 1.0, n), scales
+
+
+class TestChunkedSearch:
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_corpus_matches_per_tuple_search(self, rounded):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m = structured_multivariate(rng, rounded)
+            if m.total_mass > 1.0:
+                assert_same_search(m.alpha, m.scales)
+
+    def test_random_models_match_per_tuple_search(self):
+        for alpha, scales in random_models():
+            assert_same_search(alpha, scales)
+
+    @pytest.mark.parametrize("tuples", [1, 7])
+    def test_chunk_boundaries_change_nothing(self, monkeypatch, tuples):
+        # chunks of 1 or 7 tuples put boundaries inside both searches
+        models = list(random_models(((12, 2), (30, 3))))
+        rng = np.random.default_rng(11)
+        models += [(m.alpha, m.scales) for m in
+                   (structured_multivariate(rng) for _ in range(100)) if m.total_mass > 1.0]
+        for alpha, scales in models:
+            n, d = scales.shape
+            monkeypatch.setattr(wellbehaved, "_SEARCH_BYTES", tuples * 8 * n * d * d)
+            assert_same_search(alpha, scales)
+
+    @pytest.mark.parametrize("geometry", ["ray", "line"])
+    def test_mass_at_the_threshold_is_summed_as_before(self, geometry):
+        # six atoms on one ray, or on one line, whose masses sum to just
+        # above half the total in index order but not with zeros in place
+        # of the other atoms: the chunk's screen must not decide the tie
+        alpha = np.array([
+            0.26464899220814686, 1.1496952961385167, 0.8208253329477481, 0.634044940210703,
+            0.8321806577616719, 0.764187091357939, 0.8201365955871194, 0.92232168643665,
+            0.18878996498330242, 0.8514893835625605, 0.5276032191298285, 0.392991054490634,
+        ])
+        on = [0, 2, 4, 7, 9, 11]
+        assert 2.0 * alpha[on].sum() > alpha.sum() >= 2.0 * np.where(
+            np.isin(np.arange(12), on), alpha, 0.0).sum()
+        scales = np.random.default_rng(4).uniform(0.05, 3.0, (12, 2))
+        v = np.array([0.5, 1.0, 1.5, 2.5, 3.0, 3.5])
+        scales[on] = np.stack([v, 2.0 * v] if geometry == "ray" else [2.0 - 0.5 * v, v], 1)
+        eps, witness = wellbehaved._majority_eps(alpha, scales)
+        assert witness.endswith("subset (0, 2, 4, 7, 9, 11)")
+        assert (eps == 0.0) == (geometry == "ray")
+        assert_same_search(alpha, scales)
+
+    @pytest.mark.parametrize("b", [[2.0, 4.0], [0.25, 0.5]])
+    def test_equal_margins_keep_the_first_hyperplane(self, b):
+        # atom 0 on the diagonal and atoms 1, 2 mirrored across it: the
+        # lines through (0, 1) and (0, 2) give the same margin to the
+        # last bit, and the pair (1, 2) holds exactly half the mass
+        alpha, scales = np.array([2.0, 1.0, 1.0]), np.array([[1.0, 1.0], b, b[::-1]])
+        margins = {_subset_eps(_subset_geometry(scales[[0, j]])[1]) for j in (1, 2)}
+        assert len(margins) == 1
+        assert wellbehaved._majority_eps(alpha, scales) == (margins.pop(), "subset (0, 1)")
+        assert_same_search(alpha, scales)
+
+    def test_rank_deficient_majority_returns_from_the_first_chunk(self, monkeypatch):
+        # atoms 0 and 1 carry a majority and, in d = 3, span a plane: the
+        # first basis of the subspace search is a rank-deficient majority
+        rng = np.random.default_rng(3)
+        alpha, scales = 3.0 * 0.7 ** np.arange(40), rng.uniform(0.05, 3.0, (40, 3))
+        calls = []
+        rank_below = wellbehaved._rank_below
+        monkeypatch.setattr(wellbehaved, "_rank_below",
+                            lambda stack, r: calls.append(len(stack)) or rank_below(stack, r))
+        eps, witness = wellbehaved._majority_eps(alpha, scales)
+        # the span of all atoms, then one chunk, 64 times smaller than
+        # the later ones: its bases and their stacks
+        assert len(calls) == 3 and calls[2] == 40 * calls[1]
+        assert calls[1] == wellbehaved._SEARCH_BYTES // (8 * 40 * 9) // 64
+        assert (eps, witness) == (0.0, "rank-deficient majority subset (0, 1)")
+        monkeypatch.undo()
+        assert_same_search(alpha, scales)
 
 
 class TestClassifyDependence:
