@@ -145,10 +145,14 @@ def _bench_params(name: str, text: str) -> dict:
 
 
 def _box(text: str) -> tuple:
-    """``--m``, the box: a comma list of integers >= 0, e.g. ``20,20``."""
+    """``--m``, the box: a comma list of integers >= 0, e.g. ``20,20``,
+    with at most one trailing comma."""
+    items = text.split(",")
+    if len(items) > 1 and not items[-1].strip():
+        items.pop()
     try:
-        m = tuple(int(v) for v in text.split(",") if v.strip())
-        if m and min(m) >= 0:
+        m = tuple(int(v) for v in items)
+        if min(m) >= 0:
             return m
     except ValueError:
         pass

@@ -177,12 +177,15 @@ def _decode(params: np.ndarray, n: int, d: int):
     shape floor ``_SHAPE_FLOOR``.
     """
     P = params.shape[0]
-    alpha = np.maximum(np.exp(np.minimum(params[:, :n], 50.0)), _SHAPE_FLOOR)
+    alpha = np.minimum(params[:, :n], 50.0)
+    np.exp(alpha, out=alpha)
+    np.maximum(alpha, _SHAPE_FLOOR, out=alpha)
     z = params[:, n:].reshape(P, n, d + 1)
     z = z - z.max(axis=2, keepdims=True)
-    z[:, :, d] = np.maximum(z[:, :, d], -28.0)
-    ez = np.exp(z)
-    return alpha, ez / ez.sum(axis=2, keepdims=True)
+    np.maximum(z[:, :, d], -28.0, out=z[:, :, d])
+    np.exp(z, out=z)
+    z /= z.sum(axis=2, keepdims=True)
+    return alpha, z
 
 
 def _fitted_model(alpha: np.ndarray, simplex: np.ndarray) -> GgcModel:
@@ -240,14 +243,19 @@ def _init_particles(rng, swarm: int, n: int, d: int):
 def _residuals(params, target_flat, n, d, m):
     """Coefficients of each particle's model minus the target, one row each."""
     alpha, simplex = _decode(params, n, d)
-    return batch_coeffs(alpha, simplex, m) - target_flat[None, :]
+    res = batch_coeffs(alpha, simplex, m)
+    res -= target_flat
+    return res
 
 
 def _losses(params, target_flat, n, d, m):
     """Swarm objective of each particle; a non-finite one reads ``inf``."""
     with np.errstate(invalid="ignore", over="ignore"):
-        val = (_residuals(params, target_flat, n, d, m) ** 2).sum(axis=1)
-    return np.where(np.isfinite(val), val, np.inf)
+        res = _residuals(params, target_flat, n, d, m)
+        res *= res
+        val = res.sum(axis=1)
+    val[~np.isfinite(val)] = np.inf
+    return val
 
 
 def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
@@ -259,6 +267,7 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
     hi = np.full(npar, _LOGSHAPE_RANGE[1])
     lo[n:], hi[n:] = _LOGIT_RANGE
     vmax = 0.5 * (hi - lo)
+    vmin = -vmax
 
     pos = _init_particles(rng, swarm, n, d)
     vel = rng.uniform(-1.0, 1.0, size=(swarm, npar)) * (0.1 * vmax)[None, :]
@@ -271,13 +280,17 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
     for it in range(1, cfg.max_iters + 1):
         r1 = rng.random((swarm, npar))
         r2 = rng.random((swarm, npar))
-        vel = (
-            _INERTIA * vel
-            + _COGNITIVE * r1 * (pbest - pos)
-            + _SOCIAL * r2 * (gbest[None, :] - pos)
-        )
-        np.clip(vel, -vmax, vmax, out=vel)
-        pos = pos + vel
+        # vel = I vel + C r1 (pbest - pos) + S r2 (gbest - pos), in this order
+        vel *= _INERTIA
+        r1 *= _COGNITIVE
+        r1 *= pbest - pos
+        vel += r1
+        r2 *= _SOCIAL
+        r2 *= gbest - pos
+        vel += r2
+        np.maximum(vel, vmin, out=vel)
+        np.minimum(vel, vmax, out=vel)
+        pos += vel
         cur = _losses(pos, target_flat, n, d, m)
         upd = cur < pbl
         pbest[upd] = pos[upd]

@@ -17,11 +17,12 @@ series baselines and sampling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -58,7 +59,10 @@ __all__ = [
     "concatenate",
 ]
 
-_KERNEL_BYTES = 16 * 2**20  # series-division scratch of one particle block in batch_coeffs
+# bound on the whole scratch of one particle block in batch_coeffs (the
+# division's slabs, C and the exponential's arrays), by _plan's count:
+# 220 particles at n = 20 on the (20, 20) box
+_KERNEL_BYTES = 8 * 2**20
 
 
 @dataclass
@@ -261,16 +265,22 @@ def batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m: Sequence[int]) -> np
     coefficient is ``M_k / k_j``, where
     ``(1 - z_j) R_i M = 2 x_ij z_j prod_{l != j} (1 - z_l)`` and
     ``R_i = prod_l (1 - z_l) (1 + u_i)`` is multilinear with ``R_i(0) = 1``.
-    One power-series exponential (Knuth, TAOCP vol. 2, 4.7) finishes; its
-    products over the trailing axes are FFT products at the smallest
-    length ``2^a 3^b 5^c >= 2 m_j + 1`` per axis, which keeps the
+    The division's stencil reaches two slabs back along axis ``j``, so it
+    keeps a ring of three slabs, and the finished slabs are contracted
+    with ``alpha`` into ``C`` as the ring fills, up to three in one
+    ``einsum``.  Its index bookkeeping is the
+    cached :func:`_plan` of the box, so a call on a small box does array
+    work only.  One power-series exponential (Knuth, TAOCP vol. 2, 4.7)
+    finishes; its products over the trailing axes are FFT products at the
+    smallest length ``2^a 3^b 5^c >= 2 m_j + 1`` per axis, which keeps the
     wrap-around out of the box and pocketfft off its prime-length path.
 
-    The particles go through in blocks whose series-division scratch,
-    ``8 n prod_j (m_j + 2)`` bytes per particle, fits ``_KERNEL_BYTES``
-    (216 particles at ``n = 20`` and box ``(20, 20)``), so one call's
-    scratch is bounded whatever ``P`` is.  Every row is computed on its
-    own, so the blocks change no bit of the result.
+    The particles go through in blocks whose whole scratch (the slabs,
+    ``C`` and the arrays of the exponential) fits ``_KERNEL_BYTES``, by
+    :func:`_block_rows`, and each block writes its rows into the one
+    output array.  So one call's memory is its output plus a bounded
+    scratch, whatever ``P`` is; every row is computed on its own, so the
+    blocks change no bit of the result.
     """
     alpha = np.asarray(alpha, dtype=float)
     simplex = np.asarray(simplex, dtype=float)
@@ -278,62 +288,153 @@ def batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m: Sequence[int]) -> np
     m = tuple(int(v) for v in m)
     if len(m) != d:
         raise ValueError(f"box has dimension {len(m)}, simplex rows {d}")
-    rows = max(1, _KERNEL_BYTES // (8 * n * math.prod(v + 2 for v in m)))
-    if P > rows:
-        return np.concatenate([batch_coeffs(alpha[i : i + rows], simplex[i : i + rows], m)
-                               for i in range(0, P, rows)])
-    x, rho = simplex[:, :, :d], simplex[:, :, d]
+    shape, axes = _plan(m)[:2]
+    out = np.empty((P, math.prod(shape)))
+    rows = _block_rows(n, m)
+    for i in range(0, P, rows):
+        C = _log_series(alpha[i : i + rows], simplex[i : i + rows], shape, axes)
+        _series_exp(C, out[i : i + rows].reshape(C.shape))
+    return out
+
+
+def _block_rows(n: int, m: Tuple[int, ...]) -> int:
+    """Particles per block of :func:`batch_coeffs` with ``n`` atoms on
+    the box ``m``: as many as fit ``_KERNEL_BYTES`` at the block's bytes
+    per particle, counted in :func:`_plan`, and at least one."""
+    per_atom, division, exponential = _plan(m)[2:]
+    return max(1, _KERNEL_BYTES // (8 * max(division + n * per_atom, exponential)))
+
+
+class _AxisPlan(NamedTuple):
+    """Index plan of the series division along axis ``j``: each slab
+    covers the padded trailing axes ``rest``, ``slab`` entries, and the
+    ring holds three slabs, slab ``k_j`` in slot ``(k_j + 1) % 3``."""
+
+    j: int
+    rest: Tuple[int, ...]
+    slab: int
+    terms: tuple  # (t_j, S) per stencil term, t_j its reach along axis j
+    offsets: tuple  # per slot, how far back in the ring each term reads
+    entries: tuple  # per slot, the ring positions of the slab's box entries
+    init: tuple  # (ring position, factor of 2 x_j) of the k_j = 1 right-hand side
+    contract: dict  # k_j -> (slots' box entries, C's entries, their k_j) of a slab group
+    c_axis: tuple  # C's entries on axis j past the origin
+    recip: np.ndarray  # 1 / k_j on those entries
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(m: Tuple[int, ...]):
+    """``(shape, axes, per_atom, division, exponential)`` for
+    :func:`batch_coeffs` on the box ``m``: its shape, the
+    :class:`_AxisPlan` of every axis with ``m_j > 0``, and a bound on a
+    block's scratch per particle in doubles, the larger of its two
+    phases.  The division holds ``C`` (``division`` doubles) and
+    ``per_atom`` doubles per atom: the ring of three slabs, then ``R``
+    with its temporaries, the stencil's coefficients and a product,
+    ``2^{d+1} + 3 2^{d-1} + 2``.  The exponential holds ``exponential``
+    doubles: ``C``, its weighted copy, and four arrays the size of a
+    spectrum over the trailing axes at their transform lengths
+    ``_fft_len(2 m_l + 1)``: the two spectra and the FFTs' transients."""
+    d = len(m)
     shape = box_shape(m)
+    axes = []
+    for j in (j for j in range(d) if m[j]):
+        rest = tuple(v + 1 for v in shape[j + 1 :])
+        slab = math.prod(rest)
+        strides = [math.prod(rest[i + 1 :]) for i in range(len(rest))]
+        terms, reach = [], []
+        for t in itertools.product((0, 1, 2), *[(0, 1)] * (d - j - 1)):
+            if any(t):
+                terms.append((t[0], (0,) * j + tuple(min(v, 1) for v in t)))
+                reach.append((t[0], sum(a * b for a, b in zip(t[1:], strides))))
+        inner = (slice(1, None),) * len(rest)
+        # a slab group is contracted when the ring holds slabs k_j - 2 .. k_j
+        # in slot order, and at the last slab
+        ends = [k for k in range(1, m[j] + 1) if k % 3 == 1 or k == m[j]]
+        box = np.arange(slab).reshape(rest)[inner].ravel().tolist()
+        axes.append(_AxisPlan(
+            j=j,
+            rest=rest,
+            slab=slab,
+            terms=tuple(terms),
+            offsets=tuple(tuple((s - (s - t) % 3) * slab + off for t, off in reach)
+                          for s in range(3)),
+            entries=tuple(tuple(s * slab + q for q in box) for s in range(3)),
+            init=tuple((2 * slab + sum((v + 1) * b for v, b in zip(tail, strides)),
+                        (-1.0) ** sum(tail) * 2.0)
+                       for tail in itertools.product(*(range(min(v, 2)) for v in shape[j + 1 :]))),
+            contract={
+                k: ((slice((lo + 1) % 3, (k + 1) % 3 + 1),) + inner,
+                    (slice(None),) + (0,) * j + (slice(lo, k + 1),),
+                    np.arange(lo, k + 1).reshape((-1,) + (1,) * len(rest)))
+                for lo, k in zip([1] + [k + 1 for k in ends[:-1]], ends)
+            },
+            c_axis=(slice(None),) + (0,) * j + (slice(1, None),) + (0,) * (d - j - 1),
+            recip=1.0 / np.arange(1, shape[j]),
+        ))
+    B = math.prod(shape)
+    per_atom = max((3 * ax.slab for ax in axes), default=0) + 2 ** (d + 1) + 3 * 2 ** (d - 1) + 2
+    lengths = [_fft_len(2 * r - 1) for r in shape[1:]] or [1]
+    spectrum = 2 * shape[0] * math.prod(lengths[:-1]) * (lengths[-1] // 2 + 1)
+    return shape, tuple(axes), per_atom, B, 2 * B + 4 * spectrum
+
+
+def _log_series(alpha: np.ndarray, simplex: np.ndarray, shape: Tuple[int, ...],
+                axes: Tuple[_AxisPlan, ...]) -> np.ndarray:
+    """The series ``C(z)`` of :func:`batch_coeffs` for one block of
+    particles, a ``P x box`` array; the box has ``shape``, and ``axes`` is
+    its plan."""
+    P, n, d = simplex.shape[0], simplex.shape[1], simplex.shape[2] - 1
+    x, rho = simplex[:, :, :d], simplex[:, :, d]
     # R_S = (-1)^{|S|} (1 - 2 sum_{l in S} x_il) on the multilinear monomials
     R = {
         S: (-1.0) ** sum(S) * (1.0 - 2.0 * sum(x[:, :, l] for l in range(d) if S[l]))
         for S in itertools.product((0, 1), repeat=d)
     }
     C = np.zeros((P,) + shape)
-    for j in (j for j in range(d) if m[j]):
-        # M over the entries with z_{<j} = 0 and k_j >= 1, padded by one
-        # zero slot in front of every axis so the recurrence reads zeros
-        # outside the box
-        sub = shape[j:]
-        M = np.zeros(tuple(v + 1 for v in sub) + (P, n))
-        Mf = M.reshape(-1, P, n)
-        strides = [math.prod(v + 1 for v in sub[i + 1 :]) for i in range(len(sub))]
-        stencil = []  # (flat offset, coefficient) of (1 - z_j) R_i
-        for t in itertools.product((0, 1, 2), *[(0, 1)] * (d - j - 1)):
-            S = (0,) * j + tuple(min(v, 1) for v in t)
-            if t[0] == 0:
-                c = R[S]
-            elif t[0] == 1:
-                c = R[S] - R[S[:j] + (0,) + S[j + 1 :]]
-            else:
-                c = -R[S]
-            if any(t):
-                stencil.append((sum(a * b for a, b in zip(t, strides)), c))
-        for tail in itertools.product(*(range(min(v, 2)) for v in sub[1:])):
-            M[(2,) + tuple(v + 1 for v in tail)] = (-1.0) ** sum(tail) * 2.0 * x[:, :, j]
-        inner = (slice(2, None),) + (slice(1, None),) * (len(sub) - 1)
-        for q in np.arange(len(Mf)).reshape(M.shape[:-2])[inner].ravel().tolist():
-            acc = Mf[q]
-            for off, c in stencil:
-                acc -= c * Mf[q - off]
-        kj = np.arange(1, sub[0]).reshape((-1,) + (1,) * (len(sub) - 1))
-        C[(slice(None),) + (0,) * j + (slice(1, None),)] -= (
-            np.einsum("...pn,pn->p...", M[inner], alpha) / kj
-        )
-        del M, Mf
-        C[(slice(None),) + (0,) * j + (slice(1, None),) + (0,) * (d - j - 1)] += (
-            1.0 / np.arange(1, shape[j])
-        )
+    for ax in axes:
+        _divide(ax, R, x[:, :, ax.j], alpha, C)
     C[(slice(None),) + (0,) * d] = 0.5 * d * math.log(2.0) + (alpha * np.log(rho)).sum(axis=1)
-    return _series_exp(C).reshape(P, -1)
+    return C
 
 
-def _series_exp(C: np.ndarray) -> np.ndarray:
+def _divide(ax: _AxisPlan, R: dict, xj: np.ndarray, alpha: np.ndarray, C: np.ndarray):
+    """The series division along axis ``ax.j``: subtracts each ``M_k / k_j``,
+    contracted with ``alpha``, from ``C`` and adds ``1 / k_j`` on the axis."""
+    j = ax.j
+    # slabs k_j - 2 .. k_j of M over the entries with z_{<j} = 0, padded by
+    # one zero slot in front of every trailing axis so the recurrence reads
+    # zeros outside the box; slab k_j = 0 and the slab before it are zero
+    ring = np.zeros((3 * ax.slab,) + xj.shape)
+    slots = ring.reshape((3,) + ax.rest + xj.shape)
+    coefs = [R[S] if t == 0 else R[S] - R[S[:j] + (0,) + S[j + 1 :]] if t == 1 else -R[S]
+             for t, S in ax.terms]  # of (1 - z_j) R_i
+    stencils = [list(zip(offsets, coefs)) for offsets in ax.offsets]
+    for q, f in ax.init:
+        ring[q] = f * xj
+    for k in range(1, len(ax.recip) + 1):
+        s = (k + 1) % 3
+        (off0, c0), *stencil = stencils[s]
+        for q in ax.entries[s]:
+            # past k_j = 1 the entry starts from zero, whatever slab k_j - 3
+            # left in its slot
+            acc = ring[q]
+            np.subtract(acc if k == 1 else 0.0, c0 * ring[q - off0], out=acc)
+            for off, c in stencil:
+                acc -= c * ring[q - off]
+        if k in ax.contract:
+            done, c_group, kj = ax.contract[k]
+            C[c_group] -= np.einsum("...pn,pn->p...", slots[done], alpha) / kj
+    C[ax.c_axis] += ax.recip
+
+
+def _series_exp(C: np.ndarray, E: np.ndarray = None) -> np.ndarray:
     """``exp`` of ``P`` truncated power series (``P x box`` array) by
     ``k_0 E_k = sum_{l <= k, l_0 >= 1} l_0 C_l E_{k-l}``, with the
     ``k_0 = 0`` slice done recursively.  The products of slices over the
-    trailing axes are truncated FFT products."""
-    E = np.empty_like(C)
+    trailing axes are truncated FFT products.  The result goes into
+    ``E`` when given."""
+    E = np.empty_like(C) if E is None else E
     E[:, 0] = _series_exp(C[:, 0]) if C.ndim > 2 else np.exp(C[:, 0])
     n0, rest = C.shape[1], C.shape[2:]
     lc = C * np.arange(n0).reshape((1, n0) + (1,) * len(rest))

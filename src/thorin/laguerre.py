@@ -6,7 +6,8 @@ tensor product.  This module evaluates the basis, maps ``-1``-shifted
 moments to coefficients, and maps each way between points and
 coefficients by one contraction of the per-axis basis matrices
 ``phi_univariate(m_j, x[:, j])``: over the sample axis for the empirical
-coefficients, over the index axes for the truncated density.
+coefficients, whose first axis is streamed one row at a time, over the
+index axes for the truncated density.
 """
 
 from __future__ import annotations
@@ -103,52 +104,62 @@ def validate_samples(samples) -> np.ndarray:
 
 
 def phi_univariate(kmax: int, xs: np.ndarray) -> np.ndarray:
-    """Matrix ``phi_k(x)`` for ``k = 0..kmax``, shape ``(kmax+1, len(xs))``.
+    """Matrix ``phi_k(x)`` for ``k = 0..kmax``, shape ``(kmax+1, len(xs))``,
+    filled row by row from :func:`_phi_rows`."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty((kmax + 1, xs.size))
+    for k, row in enumerate(_phi_rows(kmax, xs)):
+        out[k] = row
+    return out
+
+
+def _phi_rows(kmax: int, xs: np.ndarray):
+    """The rows ``phi_0(xs), ..., phi_kmax(xs)``, one degree at a time.
 
     Uses the stable three-term recurrence for Laguerre polynomials in the
     variable ``2x``; the defining binomial sum cancels catastrophically
     for large ``k`` and is kept only as a test oracle.  Since
     ``|L_k(2x)| <= e^x`` (Szegő), neither ``L_k(2x)`` nor ``e^{-x}``
     leaves the normal range up to ``x = _X_PLAIN``; beyond it the columns
-    go through :func:`_phi_far`.
+    go through :func:`_phi_far` and are spliced into each row.  A few
+    ``len(xs)``-vectors are live at a time, and the yielded row is
+    overwritten by the next one, so a caller uses it before asking for
+    the next.
     """
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty((kmax + 1, xs.size))
     far = xs > _X_PLAIN
     if far.any():
-        out[:, ~far] = phi_univariate(kmax, xs[~far])
-        out[:, far] = _phi_far(kmax, xs[far])
-        return out
+        near, far = np.flatnonzero(~far), np.flatnonzero(far)
+        row = np.empty(xs.size)
+        for plain, tiny in zip(_phi_rows(kmax, xs[near]), _phi_far(kmax, xs[far])):
+            row[near], row[far] = plain, tiny
+            yield row
+        return
+    weight = _SQRT2 * np.exp(-xs)
     L0 = np.ones(xs.size)
-    out[0] = L0
+    yield L0 * weight
     if kmax >= 1:
-        L1 = 1.0 - 2.0 * xs
-        out[1] = L1
+        x2 = 2.0 * xs
+        L1 = 1.0 - x2
+        yield L1 * weight
         for k in range(1, kmax):
-            L2 = ((2.0 * k + 1.0 - 2.0 * xs) * L1 - k * L0) / (k + 1.0)
-            out[k + 1] = L2
-            L0, L1 = L1, L2
-    out *= (_SQRT2 * np.exp(-xs))[None, :]
-    return out
+            L0, L1 = L1, ((2.0 * k + 1.0 - x2) * L1 - k * L0) / (k + 1.0)
+            yield L1 * weight
 
 
-def _phi_far(kmax: int, xs: np.ndarray) -> np.ndarray:
-    """``phi_k(x)`` for ``x > _X_PLAIN``, where ``L_k(2x)`` may overflow
-    and ``e^{-x}`` underflows.  The recurrence carries ``L_k(2x) 2^{-E_k}``
-    with the mantissa renormalized at every step, and ``2^{E_k} e^{-x}``
-    is formed as one exponential, so the tiny values come out true (or as
-    zero once they underflow) instead of ``inf * 0``."""
-    scaled = np.empty((kmax + 1, xs.size))
-    expo = np.zeros((kmax + 1, xs.size))
+def _phi_far(kmax: int, xs: np.ndarray):
+    """The rows ``phi_k(x)`` for ``x > _X_PLAIN``, where ``L_k(2x)`` may
+    overflow and ``e^{-x}`` underflows.  The recurrence carries
+    ``L_k(2x) 2^{-E_k}`` with the mantissa renormalized at every step, and
+    ``2^{E_k} e^{-x}`` is formed as one exponential, so the tiny values
+    come out true (or as zero once they underflow) instead of ``inf * 0``."""
     L0, L1, e = np.ones(xs.size), 1.0 - 2.0 * xs, np.zeros(xs.size)
-    scaled[0] = L0
+    yield _SQRT2 * L0 * np.exp(e * _LN2 - xs)
     for k in range(1, kmax + 1):
         L1, shift = np.frexp(L1)
         L0 = np.ldexp(L0, -shift)
         e = e + shift
-        scaled[k], expo[k] = L1, e
+        yield _SQRT2 * L1 * np.exp(e * _LN2 - xs)
         L0, L1 = L1, ((2.0 * k + 1.0 - 2.0 * xs) * L1 - k * L0) / (k + 1.0)
-    return _SQRT2 * scaled * np.exp(expo * _LN2 - xs[None, :])
 
 
 def phi(k: Sequence[int], x) -> float:
@@ -175,14 +186,31 @@ def empirical_coeffs(samples, m: Sequence[int]) -> CoeffTensor:
     (no BLAS), so the bits do not depend on the thread count.  Its
     rounding error, at most about ``N u`` times the mean of
     ``|phi_k(X_i)|``, lies far below the sampling error.
+
+    The basis of axis 0 is streamed: each row ``phi_b(x_0)`` from
+    :func:`_phi_rows` is contracted with the basis matrices of the other
+    axes by the same ``einsum`` restricted to that row, which gives the
+    same bits.  Besides the samples, the memory is then the matrices of
+    axes ``1..d-1``, ``(m_j + 1) N`` doubles each, and a few
+    ``N``-vectors: one matrix at ``d = 2``.  Where a row would contract
+    to a single sum (``d = 1``, or ``m_j = 0`` for every ``j >= 1``),
+    axis 0 stays one matrix, since beyond 8192 samples numpy's buffered
+    reduction of a single row sums in another order.
     """
     arr = validate_samples(samples)
     m = tuple(int(v) for v in m)
     d = len(m)
     if arr.shape[1] != d:
         raise ValueError(f"samples have dimension {arr.shape[1]}, box has {d}")
-    ops = [x for j, mj in enumerate(m) for x in (phi_univariate(mj, arr[:, j]), [j, d])]
-    return CoeffTensor(m, np.einsum(*ops, list(range(d))) / arr.shape[0])
+    ops = [x for j in range(1, d) for x in (phi_univariate(m[j], arr[:, j]), [j, d])]
+    if not any(m[1:]):
+        a = np.einsum(phi_univariate(m[0], arr[:, 0]), [0, d], *ops, list(range(d)))
+        return CoeffTensor(m, a / arr.shape[0])
+    a = np.empty(box_shape(m))
+    for b, row in enumerate(_phi_rows(m[0], arr[:, 0])):
+        a[b] = np.einsum(row, [d], *ops, list(range(1, d)))
+    a /= arr.shape[0]
+    return CoeffTensor(m, a)
 
 
 def coeffs_from_moments(mu, m: Sequence[int] = None, ctx: PrecisionContext = None) -> CoeffTensor:

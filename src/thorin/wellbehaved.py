@@ -42,6 +42,7 @@ __all__ = [
 
 _RAY_TOL = 1e-9
 _RANK_TOL = 1e-13
+_DET_MARGIN = 2.0  # rounding margin of _rank_below's determinant screen
 _ON_TOL = 1e-9
 _MASS_TIE = 1e-9  # relative slack of a chunk's mass screen in _majority_eps
 _SEARCH_BYTES = 2**20  # rank-rule stacks of one chunk of atom tuples in _majority_eps
@@ -132,7 +133,42 @@ def _on_hyperplane(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _rank_below(stack: np.ndarray, r: int) -> np.ndarray:
     """Rank rule: whether each matrix of ``stack`` (shape ``(c, k, d)``)
     has rank below ``r``, i.e. its r-th singular value is at most
-    ``_RANK_TOL`` of the largest."""
+    ``_RANK_TOL`` of the largest.
+
+    A square stack with ``r = d`` is screened by its determinant first,
+    and only the matrices the screen cannot clear go to the SVD.  The
+    screen clears ``A`` when ``|det A| > _DET_MARGIN _RANK_TOL ||A||_F^d``.
+    It never clears a matrix the SVD would call rank-deficient: let the
+    computed determinant be that of ``A + E`` (LU with partial pivoting)
+    and the computed singular values those of ``A + F`` (the SVD), with
+    ``||E||_2, ||F||_2 <= eta sigma_1``.  If the SVD finds
+    ``s_d <= _RANK_TOL s_1``, then by Weyl's inequality
+    ``sigma_d(A + E) <= (_RANK_TOL (1 + eta) + 2 eta) sigma_1``, and so
+    ``|det(A + E)| <= sigma_1(A + E)^{d-1} sigma_d(A + E)
+    <= (1 + eta)^{d-1} (_RANK_TOL (1 + eta) + 2 eta) ||A||_F^d``,
+    as ``sigma_1 <= ||A||_F``.  This lies below the threshold while
+    ``eta <= _RANK_TOL / 4``, about 200 unit roundoffs, which leaves a
+    wide margin over the backward errors of LAPACK's LU and SVD on the
+    small matrices of the searches (a modest multiple of ``d u``, times
+    the growth factor ``2^{d-1}`` at most) and over the rounding of the
+    test itself.  The test compares logarithms (``slogdet``), so neither
+    side underflows or overflows; a zero or non-finite side clears
+    nothing.
+    """
+    if stack.shape[1] == stack.shape[2] == r:
+        sign, logdet = np.linalg.slogdet(stack)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_fro = 0.5 * np.log(np.einsum("cij,cij->c", stack, stack))
+            cleared = (sign != 0) & (logdet > math.log(_DET_MARGIN * _RANK_TOL) + r * log_fro)
+        below = np.zeros(stack.shape[0], dtype=bool)
+        if not cleared.all():
+            below[~cleared] = _svd_rank_below(stack[~cleared], r)
+        return below
+    return _svd_rank_below(stack, r)
+
+
+def _svd_rank_below(stack: np.ndarray, r: int) -> np.ndarray:
+    """The rank rule of :func:`_rank_below` by the singular values."""
     sv = np.linalg.svd(stack, compute_uv=False)
     if sv.shape[-1] < r:
         return np.ones(stack.shape[0], dtype=bool)
@@ -143,11 +179,11 @@ def _subset_geometry(rows: np.ndarray):
     """(rank_ok, t_star or None) for one atom subset.
 
     ``rank_ok`` is False when the subset's rows fail the rank rule of
-    :func:`_rank_below`; ``t_star`` is the least-squares solution of
-    ``rows @ t = 1`` when every row passes the membership rule of
-    :func:`_on_hyperplane`, else None.
+    :func:`_rank_below`, here by one SVD; ``t_star`` is the least-squares
+    solution of ``rows @ t = 1`` when every row passes the membership
+    rule of :func:`_on_hyperplane`, else None.
     """
-    if _rank_below(rows[None], rows.shape[1])[0]:
+    if _svd_rank_below(rows[None], rows.shape[1])[0]:
         return False, None
     t, *_ = np.linalg.lstsq(rows, np.ones(rows.shape[0]), rcond=None)
     return True, (t if _on_hyperplane(rows, t).all() else None)

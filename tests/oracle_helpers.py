@@ -9,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
+from thorin.ggc import _series_exp
 from thorin.numkit import box_shape, iterate_box
-from thorin.wellbehaved import _on_hyperplane, _rank_below, _subset_eps, _subset_geometry
+from thorin.wellbehaved import _on_hyperplane, _subset_eps, _subset_geometry
+from thorin.wellbehaved import _svd_rank_below as _rank_below
 
 
 def set_partitions(elements):
@@ -77,7 +79,8 @@ def enumerated_best_eps(model) -> float:
 def per_tuple_majority_eps(alpha: np.ndarray, scales: np.ndarray):
     """``(eps, witness)`` of the majority search in d >= 2, one atom
     tuple at a time: an SVD, a least-squares solve and two membership
-    tests per tuple, in combination order.  The chunked search in
+    tests per tuple, in combination order; the subspace search decides
+    rank by the SVD alone, without the determinant screen.  The chunked search in
     ``wellbehaved._majority_eps`` must agree with it bit for bit."""
     n, d = scales.shape
     total = alpha.sum()
@@ -104,6 +107,97 @@ def per_tuple_majority_eps(alpha: np.ndarray, scales: np.ndarray):
             if eps < best:
                 best, witness = eps, f"subset {tuple(np.flatnonzero(on).tolist())}"
     return best, witness
+
+
+def matrix_phi_univariate(kmax: int, xs) -> np.ndarray:
+    """``phi_k(x)`` for ``k = 0..kmax`` as one matrix: the three-term
+    recurrence on whole rows, scaled by ``sqrt(2) e^{-x}`` at the end, and
+    the renormalized recurrence of ``laguerre._phi_far`` beyond ``x = 700``.
+    The row generator behind ``phi_univariate`` must agree bit for bit."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty((kmax + 1, xs.size))
+    far = xs > 700.0
+    if far.any():
+        out[:, ~far] = matrix_phi_univariate(kmax, xs[~far])
+        scaled, expo = np.empty((kmax + 1, far.sum())), np.zeros((kmax + 1, far.sum()))
+        x = xs[far]
+        L0, L1, e = np.ones(x.size), 1.0 - 2.0 * x, np.zeros(x.size)
+        scaled[0] = L0
+        for k in range(1, kmax + 1):
+            L1, shift = np.frexp(L1)
+            L0 = np.ldexp(L0, -shift)
+            e = e + shift
+            scaled[k], expo[k] = L1, e
+            L0, L1 = L1, ((2.0 * k + 1.0 - 2.0 * x) * L1 - k * L0) / (k + 1.0)
+        out[:, far] = math.sqrt(2.0) * scaled * np.exp(expo * math.log(2.0) - x[None, :])
+        return out
+    L0 = np.ones(xs.size)
+    out[0] = L0
+    if kmax >= 1:
+        L1 = 1.0 - 2.0 * xs
+        out[1] = L1
+        for k in range(1, kmax):
+            L2 = ((2.0 * k + 1.0 - 2.0 * xs) * L1 - k * L0) / (k + 1.0)
+            out[k + 1] = L2
+            L0, L1 = L1, L2
+    out *= (math.sqrt(2.0) * np.exp(-xs))[None, :]
+    return out
+
+
+def full_matrix_empirical_coeffs(xs: np.ndarray, m) -> np.ndarray:
+    """Empirical coefficients as one ``einsum`` of all the per-axis basis
+    matrices over the sample axis, divided by N.  The streamed
+    contraction of ``laguerre.empirical_coeffs`` must agree bit for bit."""
+    d = len(m)
+    ops = [x for j, mj in enumerate(m) for x in (matrix_phi_univariate(mj, xs[:, j]), [j, d])]
+    return np.einsum(*ops, list(range(d))) / xs.shape[0]
+
+
+def full_box_batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m) -> np.ndarray:
+    """``ggc.batch_coeffs`` in one block, with the series division over
+    the whole zero-padded box of every axis and one contraction with
+    ``alpha`` per axis; the exponential is ``ggc._series_exp``.  The
+    three-slab kernel must agree bit for bit."""
+    P, n, d = simplex.shape[0], simplex.shape[1], simplex.shape[2] - 1
+    x, rho = simplex[:, :, :d], simplex[:, :, d]
+    shape = box_shape(m)
+    R = {
+        S: (-1.0) ** sum(S) * (1.0 - 2.0 * sum(x[:, :, l] for l in range(d) if S[l]))
+        for S in itertools.product((0, 1), repeat=d)
+    }
+    C = np.zeros((P,) + shape)
+    for j in (j for j in range(d) if m[j]):
+        sub = shape[j:]
+        M = np.zeros(tuple(v + 1 for v in sub) + (P, n))
+        Mf = M.reshape(-1, P, n)
+        strides = [math.prod(v + 1 for v in sub[i + 1 :]) for i in range(len(sub))]
+        stencil = []
+        for t in itertools.product((0, 1, 2), *[(0, 1)] * (d - j - 1)):
+            S = (0,) * j + tuple(min(v, 1) for v in t)
+            if t[0] == 0:
+                c = R[S]
+            elif t[0] == 1:
+                c = R[S] - R[S[:j] + (0,) + S[j + 1 :]]
+            else:
+                c = -R[S]
+            if any(t):
+                stencil.append((sum(a * b for a, b in zip(t, strides)), c))
+        for tail in itertools.product(*(range(min(v, 2)) for v in sub[1:])):
+            M[(2,) + tuple(v + 1 for v in tail)] = (-1.0) ** sum(tail) * 2.0 * x[:, :, j]
+        inner = (slice(2, None),) + (slice(1, None),) * (len(sub) - 1)
+        for q in np.arange(len(Mf)).reshape(M.shape[:-2])[inner].ravel().tolist():
+            acc = Mf[q]
+            for off, c in stencil:
+                acc -= c * Mf[q - off]
+        kj = np.arange(1, sub[0]).reshape((-1,) + (1,) * (len(sub) - 1))
+        C[(slice(None),) + (0,) * j + (slice(1, None),)] -= (
+            np.einsum("...pn,pn->p...", M[inner], alpha) / kj
+        )
+        C[(slice(None),) + (0,) * j + (slice(1, None),) + (0,) * (d - j - 1)] += (
+            1.0 / np.arange(1, shape[j])
+        )
+    C[(slice(None),) + (0,) * d] = 0.5 * d * math.log(2.0) + (alpha * np.log(rho)).sum(axis=1)
+    return _series_exp(C).reshape(P, -1)
 
 
 def stdout_per_blas_threads(code: str):

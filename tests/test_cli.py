@@ -160,6 +160,24 @@ class TestFit:
                    "--n", "1", "--m", "2,x"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("box, rc", [
+        ("3,,3", EXIT_CONFIG), (",3", EXIT_CONFIG), (",", EXIT_CONFIG), ("3,", EXIT_OK),
+    ])
+    @pytest.mark.parametrize("command", ["fit", "coeffs"])
+    def test_box_allows_one_trailing_comma_only(self, tmp_path, command, box, rc):
+        if command == "fit":
+            data = tmp_path / "x.csv"
+            xs = sample(GgcModel([2.0], [[1.0]]), 500, seed=2).ravel()
+            data.write_text("\n".join(f"{v:.17g}" for v in xs) + "\n")
+            argv = ["fit", "--input", str(data), "--n", "1", "--iters", "2", "--restarts", "1"]
+        else:
+            model = tmp_path / "model.json"
+            model.write_text(GgcModel([1.0], [[1.0]]).to_json())
+            argv = ["coeffs", "--model", str(model)]
+        out = tmp_path / "out"
+        assert main(argv + ["--m", box, "--output", str(out)]) == rc
+        assert out.exists() == (rc == EXIT_OK)
+
     @pytest.mark.parametrize("fmt", ["kv", "json"])
     @pytest.mark.parametrize("pairs, key", [
         ([("seed", 1), ("seed", 2)], "seed"),

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -24,7 +25,7 @@ from thorin.estimator import (
     theoretical_coeffs,
     theoretical_moments,
 )
-from thorin.ggc import GgcModel, batch_coeffs, float_coeffs, model_coeffs, sample
+from thorin.ggc import _KERNEL_BYTES, GgcModel, batch_coeffs, float_coeffs, model_coeffs, sample
 from thorin.laguerre import CoeffTensor, coeffs_from_moments, empirical_coeffs
 from thorin.numkit import PrecisionContext
 from thorin.validate import bench_density_mp, bench_pdf
@@ -179,6 +180,20 @@ class TestFitEmpirical:
         assert not rep.converged
         assert rep.loss >= 0.0
         assert rep.model.n == 2
+
+    def test_memory_is_bounded(self):
+        # 2e4 bivariate rows: the streamed basis (one 3.4 MB matrix) stays
+        # below the kernel's bounded scratch, which adds the 1.1 MB of
+        # 300 coefficient rows and the swarm's arrays (a few 0.2 MB)
+        xs = np.random.default_rng(4).gamma(2.0, 1.0, (20_000, 2))
+        cfg = FitConfig(n=20, m=(20, 20), swarm_size=300, max_iters=1, restarts=1, seed=1)
+        tracemalloc.start()
+        try:
+            fit_empirical(xs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _KERNEL_BYTES + 2 * 2**20
 
     def test_report_fields(self):
         xs = sample(GgcModel([2.0], [[1.0]]), 4000, seed=9)

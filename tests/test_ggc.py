@@ -8,12 +8,14 @@ from mpmath import mpf
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kendalltau
 
-from oracle_helpers import brute_force_moments, stdout_per_blas_threads
+from oracle_helpers import brute_force_moments, full_box_batch_coeffs, stdout_per_blas_threads
 from thorin.estimator import _decode, _init_particles
 from thorin.ggc import (
     _KERNEL_BYTES,
     GgcModel,
+    _block_rows,
     _fft_len,
+    _plan,
     batch_coeffs,
     cgf,
     concatenate,
@@ -406,10 +408,21 @@ class TestKernelBlocks:
             tracemalloc.stop()
         assert peak < 2 * _KERNEL_BYTES + out.nbytes
 
+    def test_scratch_fits_the_kernel_budget(self):
+        # the slabs, C and the exponential's arrays of one block, together
+        alpha, simplex = swarm_particles(1000, 20, (20, 20))
+        tracemalloc.start()
+        try:
+            out = batch_coeffs(alpha, simplex, (20, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _KERNEL_BYTES + out.nbytes
+
     def test_blocks_equal_one_call_per_particle(self):
         m = (20, 20)
         alpha, simplex = swarm_particles(500, 20, m)
-        assert 500 > 2 * (_KERNEL_BYTES // (8 * 20 * 22 * 22))  # three blocks at least
+        assert 500 > 2 * _block_rows(20, m)  # three blocks at least
         single = [batch_coeffs(alpha[p : p + 1], simplex[p : p + 1], m) for p in range(500)]
         assert batch_coeffs(alpha, simplex, m).tobytes() == np.concatenate(single).tobytes()
 
@@ -426,6 +439,15 @@ class TestKernelBlocks:
         out = stdout_per_blas_threads(code)
         assert len(out[0]) == 2 and out[0] == out[1]
 
+    def test_second_call_hits_the_plan_cache(self):
+        m = (7, 3)
+        alpha, simplex = swarm_particles(5, 2, m)
+        batch_coeffs(alpha, simplex, m)
+        before = _plan.cache_info()
+        batch_coeffs(alpha, simplex, m)
+        after = _plan.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+
     def test_fft_len_is_smallest_5_smooth(self):
         def smooth(k):
             for p in (2, 3, 5):
@@ -437,6 +459,31 @@ class TestKernelBlocks:
             got = _fft_len(n)
             assert got >= n and smooth(got)
             assert not any(smooth(k) for k in range(n, got))
+
+
+class TestKernelOracle:
+    """The three-slab kernel against the full-box kernel it replaced,
+    byte for byte."""
+
+    @pytest.mark.parametrize("m, n, P", [
+        ((4,), 3, 120), ((21,), 10, 60), ((6, 6), 5, 40), ((3, 3, 3), 4, 30),
+        ((0, 5), 4, 20), ((5, 0), 4, 20), ((4, 0, 3), 3, 20), ((0,), 2, 5),
+        ((8,), 60, 10), ((3, 2), 60, 10),
+    ])
+    def test_equals_full_box_kernel(self, m, n, P):
+        alpha, simplex = swarm_particles(P, n, m)
+        got = batch_coeffs(alpha, simplex, m)
+        assert got.tobytes() == full_box_batch_coeffs(alpha, simplex, m).tobytes()
+
+    def test_across_block_boundaries(self):
+        m, n = (20, 20), 20
+        P = 2 * _block_rows(n, m) + 1
+        alpha, simplex = swarm_particles(P, n, m, seed=4)
+        # the oracle in chunks that straddle the kernel's blocks
+        ref = np.concatenate([full_box_batch_coeffs(alpha[i : i + 150], simplex[i : i + 150], m)
+                              for i in range(0, P, 150)])
+        assert batch_coeffs(alpha, simplex, m).tobytes() == ref.tobytes()
+
 
 
 class TestGd1:

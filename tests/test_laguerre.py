@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracle_helpers import stdout_per_blas_threads
+from oracle_helpers import full_matrix_empirical_coeffs, matrix_phi_univariate, stdout_per_blas_threads
 from thorin.ggc import GgcModel, model_coeffs
 from thorin.laguerre import (
     CoeffTensor,
@@ -191,6 +191,40 @@ class TestEmpiricalCoeffs:
         )
         out = stdout_per_blas_threads(code)
         assert len(out[0]) == 2 and out[0] == out[1]
+
+
+class TestStreamedBasis:
+    """The row generator and the streamed contraction against the matrix
+    forms they replaced, byte for byte."""
+
+    @pytest.mark.parametrize("kmax", [0, 1, 5, 21])
+    def test_rows_equal_the_matrix(self, kmax):
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([rng.exponential(3.0, 500), [0.0, 700.0, 700.5, 1e4, 1e20]])
+        assert phi_univariate(kmax, xs).tobytes() == matrix_phi_univariate(kmax, xs).tobytes()
+
+    @pytest.mark.parametrize("N", [1, 8193, 100_000])
+    @pytest.mark.parametrize("m", [(20,), (20, 20), (3, 3, 3), (0, 5), (5, 0), (4, 0, 3)])
+    def test_equals_full_matrix_contraction(self, m, N):
+        rng = np.random.default_rng(N + len(m))
+        xs = rng.exponential(2.0, (N, len(m)))
+        xs[::97, 0] = rng.uniform(700.0, 3000.0, xs[::97, 0].shape)  # far columns on axis 0
+        if len(m) > 1:
+            xs[1::89, -1] = 1e20
+        got = empirical_coeffs(xs, m).a
+        assert got.tobytes() == full_matrix_empirical_coeffs(xs, m).tobytes()
+
+    def test_memory_is_one_basis_matrix(self):
+        # at d = 2 only axis 1 is a matrix; axis 0 streams a few N-vectors
+        N, m = 100_000, (20, 20)
+        xs = np.random.default_rng(9).exponential(1.0, (N, 2))
+        tracemalloc.start()
+        try:
+            empirical_coeffs(xs, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (m[1] + 1) * N + 8 * (8 * N)
 
 
 class TestCoeffsFromMoments:

@@ -337,6 +337,23 @@ def random_models(sizes=((60, 2), (30, 3))):
         yield rng.uniform(0.2, 1.0, n), scales
 
 
+class TestRankScreen:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_determinant_screen_agrees_with_the_svd(self, d):
+        # half the stacks within 1e-17..1e-9 of singular, scaled over 60 decades
+        rng = np.random.default_rng(d)
+        A = rng.uniform(0.0, 3.0, (4000, d, d))
+        near = A[::2]
+        mix = rng.uniform(-2.0, 2.0, (len(near), d - 1))
+        noise = 10.0 ** rng.uniform(-17, -9, (len(near), 1)) * rng.normal(size=(len(near), d))
+        near[:, -1] = np.einsum("ci,cij->cj", mix, near[:, :-1]) + noise
+        A *= 10.0 ** rng.uniform(-30, 30, (len(A), 1, 1))
+        A[::50] = 0.0
+        below = wellbehaved._rank_below(A, d)
+        assert np.array_equal(below, wellbehaved._svd_rank_below(A, d))
+        assert below.any() and not below.all()
+
+
 class TestChunkedSearch:
     @pytest.mark.parametrize("rounded", [False, True])
     def test_corpus_matches_per_tuple_search(self, rounded):
