@@ -15,6 +15,7 @@ import itertools
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -272,11 +273,7 @@ def cmd_check_wb(args) -> int:
     rep = best_eps(model)
     dep = classify_dependence(model)
     payload = rep.to_dict()
-    payload["dependence"] = {
-        "kind": dep.kind,
-        "ray_count": dep.ray_count,
-        "singular": dep.singular,
-    }
+    payload["dependence"] = asdict(dep)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
@@ -118,7 +118,7 @@ class FitConfig:
     def resolved(self, d: int) -> "FitConfig":
         m = self.m if self.m is not None else default_box(self.n, d)
         swarm = self.swarm_size or 20 * self.n * (d + 2)
-        return FitConfig(self.n, m, swarm, self.max_iters, self.seed, self.restarts)
+        return replace(self, m=m, swarm_size=swarm)
 
 
 @dataclass
@@ -141,20 +141,15 @@ class FitReport:
     def to_dict(self) -> dict:
         from . import __version__
 
-        return {
-            "model": {"alpha": self.model.alpha.tolist(), "scales": self.model.scales.tolist()},
-            "loss": self.loss,
-            "wb": self.wb.to_dict(),
-            "m": list(self.m),
-            "n": self.n,
-            "seed": self.seed,
-            "iters": self.iters,
-            "restarts_used": self.restarts_used,
-            "converged": self.converged,
-            "empirical_coeffs_hash": self.empirical_coeffs_hash,
-            "notes": list(self.notes),
-            "tool_version": __version__,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            model={"alpha": self.model.alpha.tolist(), "scales": self.model.scales.tolist()},
+            wb=self.wb.to_dict(),
+            m=list(self.m),
+            notes=list(self.notes),
+            tool_version=__version__,
+        )
+        return out
 
 
 class QuadratureError(RuntimeError):

@@ -26,9 +26,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 import mpmath
 import numpy as np
-# numpy 2 loads its random module on first use; fit, project, sample,
-# validate and bench all draw from it, so it is part of start-up here
-import numpy.random  # noqa: F401
+import numpy.random  # noqa: F401  numpy 2 loads it on first use; most commands draw from it
 from mpmath import mpf
 
 from .laguerre import CoeffTensor, coeffs_from_moments
@@ -621,9 +619,7 @@ def marginal(model: GgcModel, j: int) -> GgcModel:
     ``j`` of the scales with zero-scale atoms dropped."""
     if not 1 <= j <= model.d:
         raise IndexError(f"marginal index must be in 1..{model.d}, got {j}")
-    col = model.scales[:, j - 1]
-    keep = col > 0
-    return GgcModel(model.alpha[keep], col[keep, None])
+    return linear_combination(model, np.eye(model.d)[j - 1])
 
 
 def linear_combination(model: GgcModel, c: Sequence[float]) -> GgcModel:

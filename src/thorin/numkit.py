@@ -86,9 +86,4 @@ def binom_prod(x: Sequence[int], y: Sequence[int]) -> int:
     """
     if len(x) != len(y):
         raise ValueError("multi-indices must have the same length")
-    out = 1
-    for a, b in zip(x, y):
-        if b > a:
-            return 0
-        out *= math.comb(a, b)
-    return out
+    return math.prod(map(math.comb, x, y))

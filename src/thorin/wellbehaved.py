@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -63,12 +63,10 @@ class WbReport:
     witness: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "is_wb": self.is_wb,
-            "best_eps": self.best_eps if math.isfinite(self.best_eps) else "inf",
-            "total_mass": self.total_mass,
-            "witness": self.witness,
-        }
+        out = asdict(self)
+        if not math.isfinite(self.best_eps):
+            out["best_eps"] = "inf"
+        return out
 
 
 @dataclass
@@ -370,18 +368,9 @@ def decay_check(coeffs: CoeffTensor, eps_prime: float) -> Tuple[float, bool]:
     if not eps_prime > 0:
         raise ValueError("eps_prime must be positive")
     a = np.abs(coeffs.as_float())
-    degsum = np.zeros(a.shape, dtype=int)
-    for axis, size in enumerate(a.shape):
-        shape = [1] * a.ndim
-        shape[axis] = size
-        degsum = degsum + np.arange(size).reshape(shape)
-    levels = int(degsum.max())
-    g = np.zeros(levels + 1)
-    norm = a * (1.0 + eps_prime) ** degsum
-    for lvl in range(levels + 1):
-        sel = norm[degsum == lvl]
-        if sel.size:
-            g[lvl] = sel.max()
+    degsum = np.indices(a.shape).sum(axis=0)
+    g = np.zeros(int(degsum.max()) + 1)
+    np.maximum.at(g, degsum, a * (1.0 + eps_prime) ** degsum)
     B_fit = float(g.max())
     base = g[: min(3, g.size)].max()
     tail = g[3:].max() if g.size > 3 else 0.0

@@ -427,6 +427,31 @@ class TestCoeffsAndWb:
         assert payload["best_eps"] == pytest.approx(2.0)
         assert payload["dependence"]["kind"] in ("independent", "comonotonic", "general")
 
+    def test_output_keys_in_order(self, tmp_path):
+        # report.json and the check-wb payload are built from the report
+        # dataclasses' fields: a field added to one shows here first
+        np.savetxt(tmp_path / "x.csv", sample(GgcModel([2.0], [[3.0]]), 2000, seed=17))
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(tmp_path / "x.csv"), "--output", str(out), "--n", "1",
+                     "--m", "2", "--iters", "20", "--restarts", "1"]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert list(report) == ["model", "loss", "wb", "m", "n", "seed", "iters", "restarts_used",
+                                "converged", "empirical_coeffs_hash", "notes", "tool_version"]
+        assert list(report["model"]) == ["alpha", "scales"]
+        assert list(report["wb"]) == ["is_wb", "best_eps", "total_mass", "witness"]
+        # four atoms of mass 1/2 in general position: no line carries a
+        # majority, so the margin is unbounded and written as "inf"
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GgcModel([0.5] * 4, [[1, 2], [3, 1], [2, 2.5], [0.5, 0.7]]).to_json())
+        for model in (out / "report.json", model_path):
+            wb = tmp_path / "wb.json"
+            assert main(["check-wb", "--model", str(model), "--output", str(wb)]) == EXIT_OK
+            payload = json.loads(wb.read_text())
+            assert list(payload) == ["is_wb", "best_eps", "total_mass", "witness", "dependence"]
+            assert list(payload["dependence"]) == ["kind", "ray_count", "singular"]
+        assert payload["best_eps"] == "inf"
+        assert payload["dependence"] == {"kind": "general", "ray_count": 4, "singular": False}
+
     def test_check_wb_takes_no_config(self, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text(GgcModel([2.0], [[1.0]]).to_json())

@@ -1,0 +1,81 @@
+"""The package namespace and the modules' imports, checked from source."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import thorin
+
+MODULES = ("numkit", "laguerre", "ggc", "wellbehaved", "estimator", "validate")
+SRC = Path(thorin.__file__).resolve().parent
+NOQA_F401 = re.compile(r"#\s*noqa:\s*F401\b(.*)$")
+
+
+class TestPublicNames:
+    def test_package_names_are_the_modules_all(self):
+        # thorin.__all__ is built from the modules' lists, in module order,
+        # so a name exported by a module cannot be missing from the package
+        lists = [importlib.import_module(f"thorin.{name}").__all__ for name in MODULES]
+        names = [name for names in lists for name in names]
+        assert len(set(names)) == len(names), "a name is exported by two modules"
+        assert thorin.__all__ == names
+
+    def test_every_name_resolves_to_its_module(self):
+        for module_name in MODULES:
+            module = importlib.import_module(f"thorin.{module_name}")
+            assert getattr(thorin, module_name) is module
+            for name in module.__all__:
+                assert getattr(thorin, name) is getattr(module, name), (module_name, name)
+
+
+def _scopes(tree):
+    """Module and function nodes, each with the imports made directly in it."""
+    out = []
+
+    def visit(scope, node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((child, []))
+                visit(out[-1], child)
+            else:
+                if isinstance(child, (ast.Import, ast.ImportFrom)):
+                    scope[1].append(child)
+                visit(scope, child)
+
+    out.append((tree, []))
+    visit(out[0], tree)
+    return out
+
+
+class TestImports:
+    def test_every_import_is_used(self):
+        # no linter runs here: an import is used in the scope that makes it,
+        # or exempted on its own line by "noqa: F401" and a reason; an
+        # exemption on an import that is used is stale
+        exempt, unused = [], []
+        for path in sorted(SRC.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            text = path.read_text()
+            lines = text.splitlines()
+            tree = ast.parse(text)
+            for scope, imports in _scopes(tree):
+                used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+                for node in imports:
+                    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                        continue
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        # an alias of a parenthesised import carries its own line
+                        lineno = getattr(alias, "lineno", node.lineno)
+                        noqa = NOQA_F401.search(lines[lineno - 1])
+                        where = f"{path.name}:{lineno} {name}"
+                        if noqa:
+                            assert noqa.group(1).strip(), f"{where}: noqa F401 without a reason"
+                            assert name not in used, f"{where}: stale noqa F401"
+                            exempt.append(where)
+                        elif name not in used:
+                            unused.append(where)
+        assert unused == []
+        assert exempt, "the benchmark's tracer bindings carry noqa F401"
