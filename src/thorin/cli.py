@@ -136,11 +136,12 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def _bench_params(name: str, text: str) -> dict:
-    """``--params`` of a benchmark over its defaults; an unknown name or
-    key, or a value outside its domain, is a config error."""
+def _bench(fn, name: str, params: dict):
+    """``fn(name, params)`` of a ``validate.bench_*`` function; its
+    ``ValueError`` (an unknown name or key, a value outside its domain, no
+    cdf or density for that benchmark) is a config error."""
     try:
-        return bench_params(name, _parse_kv(text))
+        return fn(name, params)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -231,13 +232,11 @@ def cmd_fit(args) -> int:
 
 def cmd_project(args) -> int:
     name = args.density
-    if name == "clayton_pareto_lognormal":
-        raise ConfigError("no formal density available for the Clayton benchmark")
-    params = _bench_params(name, args.params)
+    params = _bench(bench_params, name, _parse_kv(args.params))
+    pdf, jumps = _bench(bench_pdf, name, params)
     cfg = _fit_config(args)
     d = 2 if name == "mln_gaussian" else 1
     rcfg = cfg.resolved(d)
-    pdf, jumps = bench_pdf(name, params)
     report = project_density(theoretical_coeffs(pdf, rcfg.m, jumps), rcfg)
     if name == "pareto" and params["k"] <= 0.5:
         report.notes = report.notes + (
@@ -283,13 +282,11 @@ def cmd_check_wb(args) -> int:
 
 def cmd_validate(args) -> int:
     model = _load_model(args.model)
-    if args.target not in ("lognormal", "pareto", "weibull"):
-        raise ConfigError(f"unknown validation target {args.target!r}")
-    params = _bench_params(args.target, args.params)
+    params = _bench(bench_params, args.target, _parse_kv(args.params))
+    cdf = _bench(bench_cdf, args.target, params)
     N, B = args.N, args.B
     if N < 1 or B < 1:
         raise ConfigError("sample size N and replicate count B must be >= 1")
-    cdf = bench_cdf(args.target, params)
     pv = resampled_pvalues(model, cdf, N, B, args.seed)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -311,7 +308,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    params = _bench_params(args.name, args.params)
+    params = _bench(bench_params, args.name, _parse_kv(args.params))
     if args.N is None or args.N < 1:
         raise ConfigError("sample size N must be >= 1")
     xs = bench_sampler(args.name, params, args.N, args.seed)

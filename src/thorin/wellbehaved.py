@@ -13,7 +13,8 @@ have rank below r when their r-th singular value is at most 1e-13 of
 the largest, and an atom lies on ``<s, t> = 1`` when its relative
 residual is at most 1e-9.  The atom tuples are screened a chunk at a
 time, with stacked linear algebra in bounded scratch, and only the
-tuples that may carry a majority are decided one by one.
+tuples that may carry a majority are decided one by one.  The rays and
+the singularity of the dependence structure follow the same rank rule.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "decay_check",
 ]
 
-_RAY_TOL = 1e-9
 _RANK_TOL = 1e-13
 _DET_MARGIN = 2.0  # rounding margin of _rank_below's determinant screen
 _ON_TOL = 1e-9
@@ -177,11 +177,11 @@ def _subset_geometry(rows: np.ndarray):
     """(rank_ok, t_star or None) for one atom subset.
 
     ``rank_ok`` is False when the subset's rows fail the rank rule of
-    :func:`_rank_below`, here by one SVD; ``t_star`` is the least-squares
-    solution of ``rows @ t = 1`` when every row passes the membership
-    rule of :func:`_on_hyperplane`, else None.
+    :func:`_rank_below`; ``t_star`` is the least-squares solution of
+    ``rows @ t = 1`` when every row passes the membership rule of
+    :func:`_on_hyperplane`, else None.
     """
-    if _svd_rank_below(rows[None], rows.shape[1])[0]:
+    if _rank_below(rows[None], rows.shape[1])[0]:
         return False, None
     t, *_ = np.linalg.lstsq(rows, np.ones(rows.shape[0]), rcond=None)
     return True, (t if _on_hyperplane(rows, t).all() else None)
@@ -213,6 +213,17 @@ def _combination_chunks(n: int, k: int, first: int, size: int):
         c = min(2 * c, size)
 
 
+def _in_span(scales: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """``inside[c, i]``: whether atom i lies in the span of the rows
+    ``scales[bases[c]]`` (each of rank k), i.e. whether the stack
+    ``[basis; atom]`` has rank below k + 1 by :func:`_rank_below`."""
+    (c, k), (n, d) = bases.shape, scales.shape
+    stack = np.empty((c, n, k + 1, d))
+    stack[:, :, :k] = scales[bases][:, None]
+    stack[:, :, k] = scales
+    return _rank_below(stack.reshape(-1, k + 1, d), k + 1).reshape(c, n)
+
+
 def _majority_eps(alpha: np.ndarray, scales: np.ndarray) -> Tuple[float, Optional[str]]:
     """Supremum margin over the majority subsets of atoms in d >= 2.
 
@@ -241,11 +252,7 @@ def _majority_eps(alpha: np.ndarray, scales: np.ndarray) -> Tuple[float, Optiona
         return 0.0, f"rank-deficient majority subset {tuple(range(n))}"
     size = max(1, _SEARCH_BYTES // (8 * n * d * d))
     for bases in _combination_chunks(n, d - 1, max(1, size // 64), size):
-        bases = bases[~_rank_below(scales[bases], d - 1)]
-        stack = np.empty((len(bases), n, d, d))
-        stack[:, :, : d - 1] = scales[bases][:, None]
-        stack[:, :, d - 1] = scales
-        inside = _rank_below(stack.reshape(-1, d, d), d).reshape(-1, n)
+        inside = _in_span(scales, bases[~_rank_below(scales[bases], d - 1)])
         mass = np.where(inside, alpha, 0.0).sum(axis=1)
         for on in inside[2.0 * mass >= (1.0 - _MASS_TIE) * total]:
             if 2.0 * alpha[on].sum() > total:
@@ -316,41 +323,35 @@ def is_eps_wb(model: GgcModel, eps: float) -> WbReport:
 # dependence structure
 
 
-def _ray_classes(scales: np.ndarray) -> np.ndarray:
-    """Label rows by the ray they span (unit 1-norm representative,
-    relative tolerance 1e-9: floating optimizers never produce exactly
-    collinear rows)."""
-    rays = scales / scales.sum(axis=1, keepdims=True)
-    labels = -np.ones(scales.shape[0], dtype=int)
-    reps = []
-    for i, r in enumerate(rays):
-        for j, rep in enumerate(reps):
-            if np.abs(r - rep).max() <= _RAY_TOL * (1.0 + np.abs(rep).max()):
-                labels[i] = j
-                break
-        else:
-            labels[i] = len(reps)
-            reps.append(r)
-    return labels
-
-
 def classify_dependence(model: GgcModel) -> DependenceReport:
-    """Structure read off the support of the Thorin measure.
+    """Structure read off the support of the Thorin measure, by the rank
+    rule of :func:`_rank_below`.
 
-    Independent: every atom loads exactly one margin.  Comonotonic: all
-    atoms share one ray.  ``ray_count`` below the dimension flags a
-    singular distribution.
+    Rays: atom i joins the first earlier representative j whose stack
+    ``[s_j; s_i]`` has rank below 2, or else starts a ray; the pairs are
+    decided in chunks whose scratch fits ``_SEARCH_BYTES``.  Independent:
+    every atom loads exactly one margin.  Comonotonic: all atoms share
+    one ray.  Singular: the atoms do not span R^d, the first test of
+    :func:`best_eps`'s search.
     """
-    labels = _ray_classes(model.scales)
-    D = int(labels.max()) + 1
-    singular = D < model.d
-    if np.all((model.scales > 0).sum(axis=1) == 1):
+    scales = model.scales
+    n, d = scales.shape
+    free, rays = np.ones(n, dtype=bool), 0
+    size = max(1, _SEARCH_BYTES // (16 * n * d))
+    for bases in _combination_chunks(n, 1, size, size):
+        bases = bases[free[bases[:, 0]]]
+        for j, inside in zip(bases[:, 0], _in_span(scales, bases)):
+            if free[j]:  # a new ray; inside[j] holds j itself
+                rays += 1
+                free &= ~inside
+    singular = bool(_rank_below(scales[None], d)[0])
+    if np.all((scales > 0).sum(axis=1) == 1):
         kind = "independent"
-    elif D == 1:
+    elif rays == 1:
         kind = "comonotonic"
     else:
         kind = "general"
-    return DependenceReport(kind, D, singular)
+    return DependenceReport(kind, rays, singular)
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,18 @@ class TestCoeffsAndWb:
         assert payload["best_eps"] == pytest.approx(2.0)
         assert payload["dependence"]["kind"] in ("independent", "comonotonic", "general")
 
+    def test_check_wb_rays_agree_with_the_margin(self, tmp_path):
+        # the second row is off the first's ray by a relative 1e-12: the
+        # rank rule sees two rays, so a positive margin comes with them
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"alpha": [1, 1], "scales": [[1, 2], [2.000000000002, 4]]}')
+        out = tmp_path / "wb.json"
+        assert main(["check-wb", "--model", str(model_path), "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text()) == {
+            "is_wb": True, "best_eps": 7.994716000325752e-12, "total_mass": 2.0, "witness": None,
+            "dependence": {"kind": "general", "ray_count": 2, "singular": False},
+        }
+
     def test_output_keys_in_order(self, tmp_path):
         # report.json and the check-wb payload are built from the report
         # dataclasses' fields: a field added to one shows here first

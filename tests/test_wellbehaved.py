@@ -76,6 +76,12 @@ def cross_check_enumeration(rounded):
         expected = enumerated_best_eps(m)
         rep = best_eps(m)
         assert rep.is_wb == (expected > 0)
+        # the dependence structure reads rays and span off the same rank rule
+        dep = classify_dependence(m)
+        if dep.singular and m.total_mass > 1.0:
+            assert rep.witness == f"rank-deficient majority subset {tuple(range(m.n))}"
+        if m.d == 2 and dep.ray_count == 1:
+            assert not rep.is_wb
         if math.isfinite(expected):
             assert rep.best_eps == pytest.approx(expected, rel=1e-12, abs=0.0)
         else:
@@ -376,8 +382,11 @@ class TestChunkedSearch:
                    (structured_multivariate(rng) for _ in range(100)) if m.total_mass > 1.0]
         for alpha, scales in models:
             n, d = scales.shape
+            rays = classify_dependence(GgcModel(alpha, scales))
             monkeypatch.setattr(wellbehaved, "_SEARCH_BYTES", tuples * 8 * n * d * d)
             assert_same_search(alpha, scales)
+            assert classify_dependence(GgcModel(alpha, scales)) == rays
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("geometry", ["ray", "line"])
     def test_mass_at_the_threshold_is_summed_as_before(self, geometry):
@@ -451,11 +460,25 @@ class TestClassifyDependence:
         assert rep.ray_count == 3
         assert not rep.singular
 
-    def test_ray_tolerance(self):
-        rep = classify_dependence(
-            GgcModel([1.0, 1.0], [[1.0, 2.0], [2.0 * (1 + 1e-12), 4.0]])
-        )
-        assert rep.ray_count == 1
+    def test_coplanar_atoms_are_singular(self):
+        # three rays in d = 3, all in the plane x_3 = 0
+        m = GgcModel([1.0, 1.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        rep = classify_dependence(m)
+        assert rep.ray_count == 3 and rep.singular
+        assert best_eps(m).witness == "rank-deficient majority subset (0, 1, 2)"
+
+    @pytest.mark.parametrize("offset, rays", [(1e-14, 1), (1e-12, 2)])
+    def test_rays_follow_the_rank_rule(self, offset, rays):
+        # sigma_2 / sigma_1 of [[1, 2], [2 (1 + offset), 4]] is 1.6e-15 at
+        # 1e-14 and 1.6e-13 at 1e-12, on either side of the rule's 1e-13
+        rep = classify_dependence(GgcModel([1.0, 1.0], [[1.0, 2.0], [2.0 * (1 + offset), 4.0]]))
+        assert rep.ray_count == rays
+        assert rep.singular == (rays == 1)
+
+    @pytest.mark.parametrize("offset", [1e-14, 5e-13, 1e-12, 1e-10, 5e-9, 1e-8])
+    def test_one_ray_iff_no_margin(self, offset):
+        m = GgcModel([1.0, 1.0], [[1.0, 2.0], [2.0 * (1 + offset), 4.0]])
+        assert (classify_dependence(m).ray_count == 1) == (best_eps(m).best_eps == 0.0)
 
 
 class TestDecayCheck:
