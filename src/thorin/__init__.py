@@ -2,7 +2,9 @@
 densities, with estimation from samples or formal densities,
 well-behavedness diagnostics and goodness-of-fit validation.
 
-Every name in a module's ``__all__`` imports from ``thorin`` itself."""
+Every name in a module's ``__all__`` imports from ``thorin`` itself,
+except :mod:`thorin.oracle`'s: the extended-precision oracles load only
+when imported, with mpmath."""
 
 __version__ = "0.1.0"
 

@@ -28,10 +28,9 @@ from .estimator import (
     fit_empirical,
     project_density,
     theoretical_coeffs,
-    theoretical_moments,  # noqa: F401  looked up by benchmarks/worker.py's span tracing
 )
 from .ggc import GgcModel, float_coeffs, sample
-from .ggc import model_coeffs  # noqa: F401  looked up by benchmarks/worker.py's span tracing
+from .numkit import _from_oracle
 from .validate import (
     bench_cdf,
     bench_params,
@@ -45,6 +44,8 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
+
+__getattr__ = _from_oracle(__name__, "model_coeffs", "theoretical_moments")
 
 _COMMANDS = ("fit", "project", "sample", "coeffs", "check-wb", "validate", "bench")
 

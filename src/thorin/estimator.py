@@ -4,12 +4,12 @@ polishes its best position.
 
 Two modes: estimation from samples (empirical coefficients) and
 projection from a formal density, whose coefficients ``<f, phi_k>`` come
-from one tanh-sinh quadrature in doubles (:func:`theoretical_coeffs`);
-the extended-precision shifted moments of :func:`theoretical_moments`
-remain only as its test oracle.  The search runs in an unconstrained
-parameterization: log-space for the shapes and simplex-logit space for
-each scale row (the logs of the row's simplex coordinates and of the
-residual), so every particle decodes to a valid model without clamping.
+from one tanh-sinh quadrature in doubles (:func:`theoretical_coeffs`),
+tested against :func:`thorin.oracle.theoretical_moments`.  The search
+runs in an unconstrained parameterization: log-space for the shapes and
+simplex-logit space for each scale row (the logs of the row's simplex
+coordinates and of the residual), so every particle decodes to a valid
+model without clamping.
 Model coefficients, for the swarm and for the reported loss alike, come
 from one double kernel, :func:`thorin.ggc.batch_coeffs`.
 """
@@ -17,24 +17,20 @@ from one double kernel, :func:`thorin.ggc.batch_coeffs`.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence, Tuple
 
-import mpmath
 import numpy as np
-from mpmath import mpf
 
 from .ggc import GgcModel, batch_coeffs, float_coeffs
 from .laguerre import (
     CoeffTensor,
-    coeffs_from_moments,  # noqa: F401  looked up here by benchmarks/worker.py's span tracing
     empirical_coeffs,
     phi_univariate,
     validate_samples,
 )
-from .numkit import COEFF_DEFAULT, PrecisionContext, box_shape
+from .numkit import _from_oracle
 from .wellbehaved import WbReport, best_eps
 
 __all__ = [
@@ -46,8 +42,9 @@ __all__ = [
     "fit_empirical",
     "project_density",
     "theoretical_coeffs",
-    "theoretical_moments",
 ]
+
+__getattr__ = _from_oracle(__name__, "coeffs_from_moments", "theoretical_moments")
 
 # constriction-style swarm constants
 _INERTIA = 0.72
@@ -72,7 +69,7 @@ _SMAG_RANGE = (math.log(1e-3), math.log(1e3))
 _LOGIT_RANGE = (-18.0, 0.0)
 _ZERO_SCALE_TOL = 1e-10
 _SHAPE_FLOOR = 1e-12
-_SPLIT = ((0, 1), (1, 10), (10, mpmath.inf))
+_SPLIT = ((0, 1), (1, 10), (10, math.inf))
 # tanh-sinh step sums stop where the node is within 2^-64 of an end of
 # its interval, as mpmath's rule does at 53 bits
 _TS_TMAX = math.asinh(64 * math.log(2.0) / math.pi)
@@ -493,14 +490,14 @@ def theoretical_coeffs(pdf: Callable, m: Sequence[int], jumps: Sequence[float] =
 
     ``pdf`` is vectorized: one array per coordinate, broadcast against
     each other (``d <= 2``).  Every axis is split where
-    :func:`theoretical_moments` splits it, ``[0,1], [1,10], [10,inf)``,
-    and at each of ``jumps``, where the density may be discontinuous.  The basis
-    is evaluated at the nodes, so in ``d = 2`` the estimate is
-    ``Phi_1 F Phi_2^T`` over the tensor grid, built in row blocks.  The
-    integrand is bounded (``|phi_k| <= sqrt(2)^d``), so no cancellation
-    costs digits: the level rises until two successive estimates agree to
-    ``_COEFF_TOL`` absolute, else :class:`QuadratureError` carries the
-    last difference.
+    :func:`thorin.oracle.theoretical_moments` splits it,
+    ``[0,1], [1,10], [10,inf)``, and at each of ``jumps``, where the
+    density may be discontinuous.  The basis is evaluated at the nodes,
+    so in ``d = 2`` the estimate is ``Phi_1 F Phi_2^T`` over the tensor
+    grid, built in row blocks.  The integrand is bounded
+    (``|phi_k| <= sqrt(2)^d``), so no cancellation costs digits: the
+    level rises until two successive estimates agree to ``_COEFF_TOL``
+    absolute, else :class:`QuadratureError` carries the last difference.
     """
     m = tuple(int(v) for v in m)
     d = len(m)
@@ -526,50 +523,4 @@ def theoretical_coeffs(pdf: Callable, m: Sequence[int], jumps: Sequence[float] =
         f"coefficient quadrature at k={tuple(map(int, k))} reached absolute tolerance "
         f"{diff.max():.3g} (requested {_COEFF_TOL:.0e})",
         float(diff.max()),
-    )
-
-
-def theoretical_moments(
-    density: Callable, m: Sequence[int], ctx: PrecisionContext = COEFF_DEFAULT
-) -> np.ndarray:
-    """Shifted moments ``mu_k = int x^k e^{-|x|} f(x) dx`` over the box,
-    by one tanh-sinh quadrature of the whole box at the context precision.
-
-    ``density`` maps ``d <= 2`` scalar arguments (mpf) to its value and is
-    evaluated once per node of ``[0,1], [1,10], [10,inf]`` (per tensor-grid
-    node when ``d = 2``); ``w e^{-|x|} f(x)`` feeds every moment.  The
-    relative tolerance target is ``10^(-bits/8)``; failure raises
-    :class:`QuadratureError` carrying the worst achieved tolerance.
-    Through ``coeffs_from_moments`` this is the extended-precision oracle
-    for :func:`theoretical_coeffs`.
-    """
-    m = tuple(int(v) for v in m)
-    d = len(m)
-    if d > 2:
-        raise ValueError("quadrature mode supports d <= 2")
-    tol = mpf(10) ** (-(ctx.bits // 8))
-    rule = mpmath.calculus.quadrature.TanhSinh(mpmath.mp)
-    total, seen, estimates = np.zeros(box_shape(m), dtype=object), [], []
-    with ctx.workprec():
-        for level in range(1, _COEFF_LEVELS[d - 1] + 1):
-            fresh = [(x, w * mpmath.exp(-x)) for a, b in _SPLIT
-                     for x, w in rule.get_nodes(a, b, level, ctx.bits)]
-            for j in range(d):  # grid points new at this level, by first new axis
-                for point in itertools.product(*[seen] * j, fresh, *[seen + fresh] * (d - 1 - j)):
-                    g = density(*(x for x, _ in point))
-                    for (x, wx), mi in zip(point, m):
-                        g = np.multiply.outer(g, np.multiply.accumulate([wx] + [x] * mi))
-                    total += g
-            seen += fresh
-            estimates = (estimates + [total * mpf(2) ** (-level * d)])[-3:]
-            if level > 1:
-                err, k = max(
-                    (rule.estimate_error([e[k] for e in estimates], ctx.bits, tol)
-                     / (abs(estimates[-1][k]) or 1), k) for k in np.ndindex(total.shape))
-                if err <= tol:
-                    return estimates[-1]
-    raise QuadratureError(
-        f"moment quadrature at k={k} reached relative tolerance "
-        f"{mpmath.nstr(err, 5)} (requested {mpmath.nstr(tol, 5)})",
-        float(err),
     )

@@ -6,13 +6,13 @@ measure ``nu = sum_i alpha_i delta_{s_i}`` and the cumulant generating
 function is ``K(t) = -sum_i alpha_i ln(1 - <s_i, t>)``.  Equivalently
 ``X = s' Z`` for independent unit-scale gamma variables ``Z_i``.
 
-The module provides the cgf, the ``-1``-shifted cumulant and moment
-tensors, the Laguerre coefficients (a batched double kernel from the
-generating function of the basis, which every command uses, and the
-extended-precision reference chain through the shifted moments, which
-tests and benchmarks check it against), exact
-closed forms for the single-atom case (including its inversion), gamma
-series baselines and sampling.
+The module provides the cgf, the Laguerre coefficients (a batched
+double kernel from the generating function of the basis, which every
+command uses; the extended-precision reference chain through the shifted
+moments, which tests and benchmarks check it against, is
+:func:`thorin.oracle.model_coeffs`), exact closed forms for the
+single-atom case (including its inversion), gamma series baselines and
+sampling.
 """
 
 from __future__ import annotations
@@ -24,28 +24,16 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Tuple
 
-import mpmath
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use; most commands draw from it
-from mpmath import mpf
 
-from .laguerre import CoeffTensor, coeffs_from_moments
-from .numkit import (
-    COEFF_DEFAULT,
-    PrecisionContext,
-    binom_prod,
-    box_shape,
-    iterate_box,
-)
+from .laguerre import CoeffTensor
+from .numkit import _from_oracle, binom_prod, box_shape, iterate_box
 
 __all__ = [
     "GgcModel",
-    "ModelCoeffs",
     "cgf",
     "simplex_scales",
-    "shifted_cumulants",
-    "cumulants_to_moments",
-    "model_coeffs",
     "batch_coeffs",
     "float_coeffs",
     "gd1_coeffs",
@@ -56,6 +44,8 @@ __all__ = [
     "linear_combination",
     "concatenate",
 ]
+
+__getattr__ = _from_oracle(__name__, "model_coeffs")
 
 # bound on the whole scratch of one particle block in batch_coeffs (the
 # division's slabs, C and the exponential's arrays), by _plan's count:
@@ -113,15 +103,6 @@ class GgcModel:
         return cls(np.asarray(obj["alpha"]), np.asarray(obj["scales"]))
 
 
-@dataclass
-class ModelCoeffs:
-    """Result of the reference chain: the Laguerre tensor, rounded to
-    doubles, and the precision it was computed at."""
-
-    coeffs: CoeffTensor
-    bits_used: int
-
-
 def cgf(model: GgcModel, t) -> complex:
     """Cumulant generating function ``K(t) = -sum_i alpha_i ln(1 - <s_i, t>)``.
 
@@ -143,105 +124,6 @@ def simplex_scales(model: GgcModel) -> np.ndarray:
     """Rows mapped into the open unit simplex, ``x_i = s_i / (1 + |s_i|)``."""
     row_sum = model.scales.sum(axis=1, keepdims=True)
     return model.scales / (1.0 + row_sum)
-
-
-def shifted_cumulants(
-    model: GgcModel, m: Sequence[int], ctx: PrecisionContext = COEFF_DEFAULT
-) -> np.ndarray:
-    """Tensor of ``-1``-shifted cumulants over the box ``k <= m``.
-
-    ``kappa_0 = sum_i alpha_i ln(1 - |x_i|)`` and, for ``k != 0``,
-    ``kappa_k = (|k| - 1)! sum_i alpha_i x_i^k`` with ``x`` the simplex
-    scales.  ``kappa_0`` is evaluated from the raw scales as
-    ``-sum_i alpha_i log1p(|s_i|)`` to avoid cancellation for tiny rows.
-    The box must have one axis per model dimension.
-    """
-    m = tuple(int(v) for v in m)
-    if len(m) != model.d:
-        raise ValueError(f"box has dimension {len(m)}, model {model.d}")
-    with ctx.workprec():
-        out = np.empty(box_shape(m), dtype=object)
-        srows = [[mpf(v) for v in row] for row in model.scales]
-        row_sums = [sum(r) for r in srows]
-        x = [[v / (1 + rs) for v in r] for r, rs in zip(srows, row_sums)]
-        al = [mpf(v) for v in model.alpha]
-        k0 = -sum(a * mpmath.log1p(rs) for a, rs in zip(al, row_sums))
-        for k in iterate_box(m):
-            if sum(k) == 0:
-                out[k] = k0
-                continue
-            acc = mpf(0)
-            for a, xi in zip(al, x):
-                term = a
-                for j, kj in enumerate(k):
-                    if kj:
-                        term *= xi[j] ** kj
-                acc += term
-            out[k] = mpf(math.factorial(sum(k) - 1)) * acc
-    return out
-
-
-def cumulants_to_moments(
-    kappa: np.ndarray, m: Sequence[int] = None, ctx: PrecisionContext = COEFF_DEFAULT
-) -> np.ndarray:
-    """Shifted moments from shifted cumulants by the exp-derivative
-    recursion: ``mu_0 = exp(kappa_0)`` and
-
-    ``mu_k = sum_{l <= p} mu_l kappa_{k-l} C(p, l)``,
-
-    where ``p`` is ``k`` lowered by one in its first non-zero coordinate.
-    The result equals the Taylor coefficients of ``exp o K``.
-    """
-    kappa = np.asarray(kappa)
-    if m is None:
-        m = tuple(s - 1 for s in kappa.shape)
-    m = tuple(int(v) for v in m)
-    if kappa.shape != box_shape(m):
-        raise ValueError("cumulant tensor does not cover the box")
-    obj = kappa.dtype == object
-    with ctx.workprec():
-        mu = np.empty(kappa.shape, dtype=object if obj else float)
-        for k in iterate_box(m):
-            if not any(k):
-                mu[k] = mpmath.exp(kappa[k]) if obj else math.exp(kappa[k])
-                continue
-            j = next(i for i, v in enumerate(k) if v)
-            p = k[:j] + (k[j] - 1,) + k[j + 1 :]
-            # the binomial weights stay exact integers: they pass 2^53 at p = 57
-            mu[k] = sum(
-                binom_prod(p, l) * mu[l] * kappa[tuple(a - b for a, b in zip(k, l))]
-                for l in itertools.product(*(range(v + 1) for v in p))
-            )
-    return mu
-
-
-def model_coeffs(
-    model: GgcModel, m: Sequence[int], ctx: PrecisionContext = COEFF_DEFAULT
-) -> ModelCoeffs:
-    """Laguerre coefficients of the model over the box ``k <= m``, in
-    extended precision: the chain :func:`shifted_cumulants`,
-    :func:`cumulants_to_moments` and ``coeffs_from_moments``,
-
-    ``a_k = sqrt(2)^d sum_{l <= k} C(k,l) (-2)^{|l|} / l!  mu_l``.
-
-    The chain restarts with doubled precision whenever a shifted cumulant
-    or moment exceeds ``2^(bits/2)``, so the returned values are always
-    finite and accurate; they are rounded to doubles at the end, and the
-    final precision is reported.  This is the reference that
-    :func:`batch_coeffs` is tested against.
-    """
-    m = tuple(int(v) for v in m)
-    bits = ctx.bits
-    while True:
-        ctx = PrecisionContext(bits)
-        limit = mpf(2) ** (bits // 2)
-        kappa = shifted_cumulants(model, m, ctx)
-        if all(abs(v) <= limit for v in kappa.flat):
-            mu = cumulants_to_moments(kappa, m, ctx)
-            if all(abs(v) <= limit for v in mu.flat):
-                coeffs = coeffs_from_moments(mu, m, ctx)
-                return ModelCoeffs(coeffs, bits)
-        bits *= 2
 
 
 def batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m: Sequence[int]) -> np.ndarray:

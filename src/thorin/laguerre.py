@@ -2,12 +2,11 @@
 
 The univariate basis functions are ``phi_k(x) = sqrt(2) e^{-x} L_k(2x)``
 with ``L_k`` the Laguerre polynomials; the d-variate basis is their
-tensor product.  This module evaluates the basis, maps ``-1``-shifted
-moments to coefficients, and maps each way between points and
-coefficients by one contraction of the per-axis basis matrices
-``phi_univariate(m_j, x[:, j])``: over the sample axis for the empirical
-coefficients, whose first axis is streamed one row at a time, over the
-index axes for the truncated density.
+tensor product.  This module evaluates the basis and maps each way
+between points and coefficients by one contraction of the per-axis basis
+matrices ``phi_univariate(m_j, x[:, j])``: over the sample axis for the
+empirical coefficients, whose first axis is streamed one row at a time,
+over the index axes for the truncated density.
 """
 
 from __future__ import annotations
@@ -18,25 +17,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from mpmath import mpf
 
-from .numkit import (
-    COEFF_DEFAULT,
-    MultiIndex,
-    PrecisionContext,
-    box_shape,
-)
+from .numkit import MultiIndex, _from_oracle, box_shape
 
 __all__ = [
     "CoeffTensor",
     "phi",
     "empirical_coeffs",
-    "coeffs_from_moments",
     "density_grid",
     "l2_norm_sq",
     "phi_univariate",
     "validate_samples",
 ]
+
+__getattr__ = _from_oracle(__name__, "coeffs_from_moments")
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
@@ -211,38 +205,6 @@ def empirical_coeffs(samples, m: Sequence[int]) -> CoeffTensor:
         a[b] = np.einsum(row, [d], *ops, list(range(1, d)))
     a /= arr.shape[0]
     return CoeffTensor(m, a)
-
-
-def coeffs_from_moments(mu, m: Sequence[int] = None, ctx: PrecisionContext = None) -> CoeffTensor:
-    """Coefficients from ``-1``-shifted moments over the full box:
-
-    ``a_k = sqrt(2)^d sum_{l <= k} C(k,l) (-2)^{|l|} / l! mu_l``.
-
-    ``mu`` is a dense array over the box (float or mpf entries); mpf
-    input is summed at the precision of ``ctx``, and the returned tensor
-    holds doubles.  The weights factor over the axes, so the sum is
-    applied one axis at a time.
-    """
-    mu = np.asarray(mu)
-    if m is None:
-        m = tuple(s - 1 for s in mu.shape)
-    m = tuple(int(v) for v in m)
-    if mu.shape != box_shape(m):
-        raise ValueError(f"moment tensor shape {mu.shape} does not match box {m}")
-    d = len(m)
-    exact = mu.dtype == object
-    num = mpf if exact else float
-    with (ctx or COEFF_DEFAULT).workprec():
-        a = mu if exact else mu.astype(float)
-        for j, mj in enumerate(m):
-            w = [num(-2) ** l / math.factorial(l) for l in range(mj + 1)]
-            T = np.array(
-                [[math.comb(k, l) * w[l] if l <= k else num(0) for l in range(mj + 1)]
-                 for k in range(mj + 1)],
-                dtype=object if exact else float,
-            )
-            a = np.moveaxis(np.tensordot(T, a, axes=([1], [j])), 0, j)
-        return CoeffTensor(m, num(2) ** (num(d) / 2) * a)
 
 
 def density_grid(coeffs: CoeffTensor, pts) -> np.ndarray:

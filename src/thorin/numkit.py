@@ -1,56 +1,25 @@
-"""Foundational numerics: configurable extended-precision arithmetic and
-multi-index iteration shared by the other modules.
+"""Foundational numerics: multi-index iteration shared by the other
+modules.
 
-Extended precision is a runtime parameter carried by a
-:class:`PrecisionContext`.  Only the reference chain behind
-``model_coeffs`` and the shifted-moment quadrature use it, at 256 bits by
-default, as the oracles the double paths are tested against; every
-``thorin`` command runs in native doubles.
+Every ``thorin`` command runs in native doubles; extended precision lives
+in :mod:`thorin.oracle`, which ``import thorin`` does not load.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
-
-import mpmath
 
 MultiIndex = Tuple[int, ...]
 
 __all__ = [
-    "PrecisionContext",
-    "COEFF_DEFAULT",
     "MultiIndex",
     "iterate_box",
     "box_shape",
     "box_size",
     "binom_prod",
 ]
-
-
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Significand precision (in bits) of the working real type.
-
-    Arithmetic performed under a context is reproducible given
-    ``(bits, round-to-nearest)``; ``bits=53`` reproduces IEEE doubles
-    bit for bit on the basic operations.
-    """
-
-    bits: int = 53
-
-    def __post_init__(self):
-        if self.bits < 53:
-            raise ValueError(f"precision must be at least 53 bits, got {self.bits}")
-
-    def workprec(self):
-        """mpmath context manager setting this precision."""
-        return mpmath.workprec(self.bits)
-
-
-COEFF_DEFAULT = PrecisionContext(256)
 
 
 def _validate_index(k: Sequence[int]) -> MultiIndex:
@@ -87,3 +56,20 @@ def binom_prod(x: Sequence[int], y: Sequence[int]) -> int:
     if len(x) != len(y):
         raise ValueError("multi-indices must have the same length")
     return math.prod(map(math.comb, x, y))
+
+
+def _from_oracle(module: str, *names: str):
+    """A module ``__getattr__`` (PEP 562) serving ``names`` from :mod:`thorin.oracle`,
+    for ``benchmarks/``, which still looks them up where they used to live."""
+
+    def __getattr__(name):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from . import oracle
+
+        return getattr(oracle, name)
+
+    return __getattr__
+
+
+__getattr__ = _from_oracle(__name__, "PrecisionContext")

@@ -16,11 +16,10 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath
 import numpy as np
-from mpmath import mpf
 
 from .ggc import GgcModel, sample
+from .numkit import _from_oracle
 
 __all__ = [
     "KsResult",
@@ -31,12 +30,13 @@ __all__ = [
     "bench_cdf",
     "bench_quantile",
     "bench_pdf",
-    "bench_density_mp",
     "bench_params",
     "BENCH_NAMES",
     "curious_cgf",
     "curious_cgf_discrete",
 ]
+
+__getattr__ = _from_oracle(__name__, "bench_density_mp")
 
 # the parameters of each benchmark with their defaults, and the domain of
 # each parameter name; every bench_* function reads its values from here
@@ -470,74 +470,6 @@ def bench_quantile(name: str, params: dict) -> Callable:
     if name == "weibull":
         return lambda q: _weibull_q(q, p["k"])
     raise ValueError(f"no univariate quantile for benchmark {name!r}")
-
-
-def _per_prec(make: Callable) -> Callable:
-    """``make()`` evaluated once per working precision: a density's
-    closure is built at 53 bits but called inside ``workprec``."""
-    cache = {}
-
-    def get():
-        prec = mpmath.mp.prec
-        if prec not in cache:
-            cache[prec] = make()
-        return cache[prec]
-
-    return get
-
-
-def bench_density_mp(name: str, params: dict) -> Callable:
-    """Arbitrary-precision density of a benchmark, for the projection
-    path (the integrand must follow the working precision)."""
-    p = {k: mpf(v) for k, v in bench_params(name, params).items()}
-    if name == "lognormal":
-        mu, sigma = p["mu"], p["sigma"]
-
-        norm = _per_prec(lambda: sigma * mpmath.sqrt(2 * mpmath.pi))
-
-        def ln_pdf(x):
-            if x <= 0:
-                return mpf(0)
-            z = (mpmath.log(x) - mu) / sigma
-            return mpmath.exp(-z * z / 2) / (x * norm())
-
-        return ln_pdf
-    if name == "weibull":
-        k = p["k"]
-
-        def wb_pdf(x):
-            if x <= 0:
-                return mpf(0)
-            return k * x ** (k - 1) * mpmath.exp(-(x ** k))
-
-        return wb_pdf
-    if name == "pareto":
-        k, xm = p["k"], p["xm"]
-
-        def pa_pdf(x):
-            if x < xm:
-                return mpf(0)
-            return k * xm ** k / x ** (k + 1)
-
-        return pa_pdf
-    if name == "mln_gaussian":
-        mu, sigma, rho = p["mu"], p["sigma"], p["rho"]
-
-        consts = _per_prec(lambda: (
-            1 - rho * rho, 2 * mpmath.pi * sigma * sigma * mpmath.sqrt(1 - rho * rho)
-        ))
-
-        def mln_pdf(x, y):
-            if x <= 0 or y <= 0:
-                return mpf(0)
-            one_m_rho2, norm = consts()
-            u = (mpmath.log(x) - mu) / sigma
-            v = (mpmath.log(y) - mu) / sigma
-            q = (u * u - 2 * rho * u * v + v * v) / one_m_rho2
-            return mpmath.exp(-q / 2) / (norm * x * y)
-
-        return mln_pdf
-    raise ValueError(f"no formal density for benchmark {name!r}")
 
 
 # ---------------------------------------------------------------------------

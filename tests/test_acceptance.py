@@ -19,12 +19,12 @@ from thorin.ggc import (
     GgcModel,
     gd1_coeffs,
     gd1_invert,
-    model_coeffs,
     moschopoulos_density,
     sample,
 )
 from thorin.laguerre import density_grid
 from thorin.numkit import box_shape
+from thorin.oracle import model_coeffs
 from thorin.validate import (
     bench_cdf,
     bench_pdf,
@@ -97,7 +97,7 @@ def test_A3_gamma_series_instability_vs_stable_expansion():
 
 def test_A4_moment_recursion_matches_bell_polynomials():
     """A4 moment recursion agrees with brute-force Bell polynomials"""
-    from thorin.ggc import cumulants_to_moments
+    from thorin.oracle import cumulants_to_moments
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(44)

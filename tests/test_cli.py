@@ -356,7 +356,7 @@ class TestSample:
 
 class TestCoeffsAndWb:
     def test_coeffs_match_library(self, tmp_path):
-        from thorin.ggc import model_coeffs
+        from thorin.oracle import model_coeffs
 
         model = GgcModel([1.0], [[1.0]])
         model_path = tmp_path / "model.json"
@@ -774,17 +774,24 @@ class TestEntryPoint:
 
     def test_import_loads_no_scipy_module(self):
         # start-up cost: every command pays the import, and the library
-        # runs on numpy and mpmath alone
-        code = "import sys, thorin.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        # runs on numpy alone; mpmath is thorin.oracle's, which loads on use
+        code = (
+            "import sys\n"
+            "def loaded(): return [m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')]\n"
+            "import thorin\n"
+            "print(loaded())\n"
+            "import thorin.cli\n"
+            "print(loaded())\n"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "[]"]
 
     def test_only_bench_loads_scipy(self, tmp_path):
-        # fit, check-wb and validate run in one fresh interpreter, each
-        # followed by the scipy modules loaded so far; bench's Clayton
-        # sampler takes its normal quantile from scipy.special, which shows
-        # that the check sees a scipy import
+        # every command runs in one fresh interpreter, each followed by the
+        # scipy and mpmath modules loaded so far; bench's Clayton sampler
+        # takes its normal quantile from scipy.special, which shows that the
+        # check sees an import
         xs = sample(GgcModel([2.0], [[3.0]]), 2000, seed=17)
         np.savetxt(tmp_path / "x.csv", xs, delimiter=",")
         model = tmp_path / "model.json"
@@ -792,9 +799,13 @@ class TestEntryPoint:
         runs = [
             ["fit", "--input", "{dir}/x.csv", "--output", "{dir}/fit", "--n", "1", "--m", "2",
              "--iters", "20", "--restarts", "1"],
+            ["project", "--density", "lognormal", "--n", "1", "--iters", "5", "--restarts", "1",
+             "--output", "{dir}/proj"],
             ["check-wb", "--model", "{dir}/fit/report.json", "--output", "{dir}/wb"],
             ["validate", "--model", "{dir}/model.json", "--target", "lognormal", "--N", "300",
              "--B", "3", "--output", "{dir}/val"],
+            ["coeffs", "--model", "{dir}/model.json", "--m", "4", "--output", "{dir}/c.json"],
+            ["sample", "--model", "{dir}/model.json", "--N", "10", "--output", "{dir}/s.csv"],
             ["bench", "--name", "clayton_pareto_lognormal", "--N", "10",
              "--output", "{dir}/b.csv"],
         ]
@@ -804,16 +815,17 @@ class TestEntryPoint:
             "from thorin.cli import main\n"
             f"for argv in {runs!r}:\n"
             "    rc = main(argv)\n"
-            "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "    loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')]\n"
             "    print(json.dumps([argv[0], rc, loaded]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         lines = [json.loads(ln) for ln in proc.stdout.splitlines() if ln.startswith('["')]
         assert [(cmd, rc) for cmd, rc, _ in lines] == [(argv[0], EXIT_OK) for argv in runs]
-        assert {cmd: loaded for cmd, _, loaded in lines[:3]} == {
-            "fit": [], "check-wb": [], "validate": []}
-        assert "scipy.special" in lines[3][2]
+        assert {cmd: loaded for cmd, _, loaded in lines[:-1]} == {
+            "fit": [], "project": [], "check-wb": [], "validate": [], "coeffs": [], "sample": []}
+        assert "scipy.special" in lines[-1][2]
+        assert not any(m.split(".")[0] == "mpmath" for m in lines[-1][2])
 
 
 class TestBenchmarkTraceContract:

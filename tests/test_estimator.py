@@ -23,12 +23,17 @@ from thorin.estimator import (
     loss_Lm,
     project_density,
     theoretical_coeffs,
+)
+from thorin.ggc import _KERNEL_BYTES, GgcModel, batch_coeffs, float_coeffs, sample
+from thorin.laguerre import CoeffTensor, empirical_coeffs
+from thorin.oracle import (
+    PrecisionContext,
+    bench_density_mp,
+    coeffs_from_moments,
+    model_coeffs,
     theoretical_moments,
 )
-from thorin.ggc import _KERNEL_BYTES, GgcModel, batch_coeffs, float_coeffs, model_coeffs, sample
-from thorin.laguerre import CoeffTensor, coeffs_from_moments, empirical_coeffs
-from thorin.numkit import PrecisionContext
-from thorin.validate import bench_density_mp, bench_pdf
+from thorin.validate import bench_pdf
 
 
 class TestFitConfig:
@@ -449,7 +454,7 @@ class TestTheoreticalMoments:
 
     def test_unresolved_jump_raises_with_achieved_tolerance(self):
         # the Pareto density jumps at xm = 2, which is not a split point
-        from thorin.validate import bench_density_mp
+        from thorin.oracle import bench_density_mp
 
         with pytest.raises(QuadratureError) as info:
             theoretical_moments(

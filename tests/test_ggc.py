@@ -19,20 +19,24 @@ from thorin.ggc import (
     batch_coeffs,
     cgf,
     concatenate,
-    cumulants_to_moments,
     float_coeffs,
     gd1_coeffs,
     gd1_invert,
     linear_combination,
     marginal,
-    model_coeffs,
     moschopoulos_density,
     sample,
-    shifted_cumulants,
     simplex_scales,
 )
-from thorin.laguerre import coeffs_from_moments, empirical_coeffs, phi_univariate
-from thorin.numkit import PrecisionContext, box_shape, iterate_box
+from thorin.laguerre import empirical_coeffs, phi_univariate
+from thorin.numkit import box_shape, iterate_box
+from thorin.oracle import (
+    PrecisionContext,
+    coeffs_from_moments,
+    cumulants_to_moments,
+    model_coeffs,
+    shifted_cumulants,
+)
 
 SQRT2 = math.sqrt(2.0)
 

@@ -7,10 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from oracle_helpers import full_matrix_empirical_coeffs, matrix_phi_univariate, stdout_per_blas_threads
-from thorin.ggc import GgcModel, model_coeffs
+from thorin.ggc import GgcModel
 from thorin.laguerre import (
     CoeffTensor,
-    coeffs_from_moments,
     density_grid,
     empirical_coeffs,
     l2_norm_sq,
@@ -18,6 +17,7 @@ from thorin.laguerre import (
     phi_univariate,
     validate_samples,
 )
+from thorin.oracle import coeffs_from_moments, model_coeffs
 
 SQRT2 = math.sqrt(2.0)
 

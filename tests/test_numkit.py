@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thorin.numkit import (
-    PrecisionContext,
     binom_prod,
     box_size,
     iterate_box,
 )
+from thorin.oracle import PrecisionContext
 
 
 class TestIterateBox:

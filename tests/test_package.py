@@ -5,6 +5,8 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 import thorin
 
 MODULES = ("numkit", "laguerre", "ggc", "wellbehaved", "estimator", "validate")
@@ -27,6 +29,30 @@ class TestPublicNames:
             assert getattr(thorin, module_name) is module
             for name in module.__all__:
                 assert getattr(thorin, name) is getattr(module, name), (module_name, name)
+
+    def test_oracle_names_stay_out_of_the_package(self):
+        oracle = importlib.import_module("thorin.oracle")
+        assert set(oracle.__all__).isdisjoint(thorin.__all__)
+
+    def test_only_the_benchmarks_lookups_are_forwarded(self):
+        # benchmarks/run.py and worker.py look these oracles up in the
+        # modules that defined them before thorin.oracle did
+        oracle = importlib.import_module("thorin.oracle")
+        forwarded = {
+            ("numkit", "PrecisionContext"), ("laguerre", "coeffs_from_moments"),
+            ("estimator", "theoretical_moments"), ("validate", "bench_density_mp"),
+            ("ggc", "model_coeffs"), ("cli", "theoretical_moments"), ("cli", "model_coeffs"),
+            ("estimator", "coeffs_from_moments"),
+        }
+        for module_name in MODULES + ("cli",):
+            module = importlib.import_module(f"thorin.{module_name}")
+            for name in oracle.__all__:
+                if (module_name, name) in forwarded:
+                    assert getattr(module, name) is getattr(oracle, name), (module_name, name)
+                else:
+                    assert not hasattr(module, name), (module_name, name)
+        with pytest.raises(AttributeError, match="'thorin.ggc' has no attribute 'shifted_cumulants'"):
+            thorin.ggc.shifted_cumulants
 
 
 def _scopes(tree):
@@ -78,4 +104,4 @@ class TestImports:
                         elif name not in used:
                             unused.append(where)
         assert unused == []
-        assert exempt, "the benchmark's tracer bindings carry noqa F401"
+        assert exempt, "ggc's numpy.random import carries noqa F401"

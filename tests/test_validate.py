@@ -19,7 +19,6 @@ from thorin.validate import (
     _ndtr,
     BENCH_NAMES,
     bench_cdf,
-    bench_density_mp,
     bench_pdf,
     bench_quantile,
     bench_sampler,
@@ -29,6 +28,7 @@ from thorin.validate import (
     qq_points,
     resampled_pvalues,
 )
+from thorin.oracle import bench_density_mp
 
 
 class TestKsExact:

@@ -5,8 +5,9 @@ import pytest
 
 from oracle_helpers import enumerated_best_eps, per_tuple_majority_eps
 from thorin import wellbehaved
-from thorin.ggc import GgcModel, concatenate, model_coeffs
+from thorin.ggc import GgcModel, concatenate
 from thorin.laguerre import CoeffTensor
+from thorin.oracle import model_coeffs
 from thorin.wellbehaved import (
     HalfPlaneImage,
     _interval_eps_1d,
