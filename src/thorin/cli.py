@@ -5,7 +5,8 @@ ingestion, fitting, validation and JSON/CSV report emission.  Every
 randomized path takes an explicit ``--seed``; reruns with identical
 inputs produce byte-identical outputs.
 
-Exit codes: 0 ok, 2 data error, 3 config error, 4 numeric failure.
+Exit codes: 0 ok, 2 data error, 3 config error, 4 numeric failure.  A
+request too large to hold in memory (``--N``, ``--m``) is a config error.
 """
 
 from __future__ import annotations
@@ -413,7 +414,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QuadratureError as exc:

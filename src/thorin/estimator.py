@@ -2,10 +2,12 @@
 minimization: a particle swarm finds the basin, Levenberg-Marquardt
 polishes its best position.
 
-Two modes: estimation from samples (empirical coefficients) and
-projection from a formal density, whose coefficients ``<f, phi_k>`` come
-from one tanh-sinh quadrature in doubles (:func:`theoretical_coeffs`),
-tested against :func:`thorin.oracle.theoretical_moments`.  The search
+One minimization, :func:`project_density`, with two targets: the
+empirical coefficients ``mean_i phi_k(X_i)`` of samples
+(:func:`fit_empirical`), or the coefficients ``<f, phi_k>`` of a formal
+density, from one tanh-sinh quadrature in doubles
+(:func:`theoretical_coeffs`), tested against
+:func:`thorin.oracle.theoretical_moments`.  The search
 runs in an unconstrained parameterization: log-space for the shapes and
 simplex-logit space for each scale row (the logs of the row's simplex
 coordinates and of the residual), so every particle decodes to a valid
@@ -199,19 +201,16 @@ def _fitted_model(alpha: np.ndarray, simplex: np.ndarray) -> GgcModel:
     return GgcModel(alpha[alive], scales[alive])
 
 
-def loss_Lm(target: CoeffTensor, model: GgcModel, m: Sequence[int] = None) -> float:
+def loss_Lm(target: CoeffTensor, model: GgcModel) -> float:
     """Truncated squared coefficient distance
-    ``sum_{k <= m} (target_k - a_k(model))^2``.
+    ``sum_{k <= m} (target_k - a_k(model))^2`` over the target's box ``m``.
 
     The model coefficients come from :func:`thorin.ggc.batch_coeffs`,
     the kernel the swarm minimizes, so the reported loss is the swarm's
     objective; the kernel is accurate to about 1e-14 absolute per
     coefficient over the region the swarm searches.
     """
-    m = tuple(int(v) for v in (m if m is not None else target.m))
-    if m != target.m:
-        raise ValueError("target box does not match m")
-    diff = float_coeffs(model, m).a.ravel() - target.as_float().ravel()
+    diff = float_coeffs(model, target.m).a.ravel() - target.as_float().ravel()
     return float(diff @ diff)
 
 
@@ -380,9 +379,32 @@ def _polish(theta, loss, target_flat, n, d, m):
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _LM_DAMP_MIN)
 
 
-def _run_swarm(target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str) -> FitReport:
-    """The swarm towards ``target``, each stalled restart polished by
-    :func:`_polish`; ``cfg`` is already resolved to ``d``."""
+def fit_empirical(samples, cfg: FitConfig) -> FitReport:
+    """Fit a model to observations: :func:`project_density` towards
+    their empirical Laguerre coefficients."""
+    arr = validate_samples(samples)
+    rcfg = cfg.resolved(arr.shape[1])
+    return project_density(empirical_coeffs(arr, rcfg.m), rcfg)
+
+
+def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
+    """Minimize the truncated coefficient distance to ``target``: the
+    empirical coefficients of observations (:func:`fit_empirical`) or
+    those of a formal density, such as :func:`theoretical_coeffs`.
+
+    ``target`` must cover the box ``cfg`` resolves to in its dimension.
+    Deterministic given ``(target, cfg)``.  Non-convergence is not an
+    error: ``converged`` is true only when the chosen restart's swarm
+    stalled and its polish met the stopping test of :func:`_polish`; a
+    swarm stopped by ``cfg.max_iters`` is returned unpolished.  ``iters``
+    counts swarm iterations, and ``notes`` holds one line per polished
+    restart.  The whole fit runs in doubles; the model may hold fewer
+    than ``cfg.n`` atoms.
+    """
+    d = target.d
+    cfg = cfg.resolved(d)
+    if target.m != cfg.m:
+        raise ValueError(f"target box {target.m} does not match box {cfg.m}")
     target_flat = target.as_float().ravel()
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best, notes = None, []
@@ -403,10 +425,11 @@ def _run_swarm(target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str) -> F
     gpos, _, converged = best
     alpha, simplex = _decode(gpos[None, :], cfg.n, d)
     model = _fitted_model(alpha[0], simplex[0])
-    loss = loss_Lm(target, model, cfg.m)
+    digest = hashlib.sha256(repr(cfg.m).encode())
+    digest.update(np.ascontiguousarray(target.a, dtype=float).tobytes())
     return FitReport(
         model=model,
-        loss=loss,
+        loss=loss_Lm(target, model),
         wb=best_eps(model),
         m=cfg.m,
         n=cfg.n,
@@ -414,48 +437,9 @@ def _run_swarm(target: CoeffTensor, d: int, cfg: FitConfig, hash_text: str) -> F
         iters=iters_total,
         restarts_used=cfg.restarts,
         converged=converged,
-        empirical_coeffs_hash=hash_text,
+        empirical_coeffs_hash=digest.hexdigest(),
         notes=tuple(notes),
     )
-
-
-def _digest(arr: np.ndarray, m) -> str:
-    h = hashlib.sha256()
-    h.update(repr(tuple(m)).encode())
-    h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-    return h.hexdigest()
-
-
-def fit_empirical(samples, cfg: FitConfig) -> FitReport:
-    """Fit a model to observations by minimizing the truncated
-    coefficient distance to the empirical Laguerre coefficients.
-
-    Deterministic given ``(samples, cfg)``.  Non-convergence is not an
-    error: ``converged`` is true only when the chosen restart's swarm
-    stalled and its polish met the stopping test of :func:`_polish`; a
-    swarm stopped by ``cfg.max_iters`` is returned unpolished.  ``iters``
-    counts swarm iterations, and ``notes`` holds one line per polished
-    restart.  The whole fit runs in doubles; the model may hold fewer
-    than ``cfg.n`` atoms.
-    """
-    arr = validate_samples(samples)
-    d = arr.shape[1]
-    rcfg = cfg.resolved(d)
-    target = empirical_coeffs(arr, rcfg.m)
-    return _run_swarm(target, d, rcfg, _digest(target.a, rcfg.m))
-
-
-def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
-    """Same optimization as :func:`fit_empirical`, towards the
-    coefficients of a formal density, such as those of
-    :func:`theoretical_coeffs`.
-
-    ``target`` must cover the box ``cfg`` resolves to in its dimension.
-    """
-    rcfg = cfg.resolved(target.d)
-    if target.m != rcfg.m:
-        raise ValueError(f"target box {target.m} does not match box {rcfg.m}")
-    return _run_swarm(target, target.d, rcfg, _digest(target.a, rcfg.m))
 
 
 def _tanh_sinh(splits: Sequence[float], level: int):

@@ -28,7 +28,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use; most commands draw from it
 
 from .laguerre import CoeffTensor
-from .numkit import _from_oracle, binom_prod, box_shape, iterate_box
+from .numkit import _from_oracle, binom_prod, box_shape, box_size, iterate_box
 
 __all__ = [
     "GgcModel",
@@ -168,8 +168,10 @@ def batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m: Sequence[int]) -> np
     m = tuple(int(v) for v in m)
     if len(m) != d:
         raise ValueError(f"box has dimension {len(m)}, simplex rows {d}")
+    # before the plan, whose index lists grow with the box: a box too large
+    # to hold fails here at once
+    out = np.empty((P, box_size(m)))
     shape, axes = _plan(m)[:2]
-    out = np.empty((P, math.prod(shape)))
     rows = _block_rows(n, m)
     for i in range(0, P, rows):
         C = _log_series(alpha[i : i + rows], simplex[i : i + rows], shape, axes)

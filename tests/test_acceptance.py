@@ -57,7 +57,7 @@ def test_A2_lognormal_projection_reference_parameters():
     m = (4,)  # 2n+1 basis functions for n=2
     pdf, jumps = bench_pdf("lognormal", {"mu": 0.0, "sigma": 0.83})
     target = theoretical_coeffs(pdf, m, jumps)
-    loss_ref = loss_Lm(target, REFERENCE_N2, m)
+    loss_ref = loss_Lm(target, REFERENCE_N2)
     ref_alpha = np.array([0.5458, 2.4539])
     ref_scales = np.array([1.6283, 0.1999])
     hits = 0

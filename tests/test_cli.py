@@ -772,6 +772,35 @@ class TestEntryPoint:
         assert needle in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--N", str(10**16), "--output", "{dir}/s.csv"],
+        ["validate", "--target", "lognormal", "--N", str(10**16), "--B", "2",
+         "--output", "{dir}/val"],
+        ["coeffs", "--m", str(10**16), "--output", "{dir}/c.json"],
+    ], ids=["sample", "validate", "coeffs"])
+    def test_request_too_large_to_hold_is_a_config_error(self, tmp_path, argv):
+        # 10^16 rows or entries (at least 71 PiB) lie beyond a 2^47-byte
+        # address space, so no overcommit setting lets the allocation
+        # through; the timeout ends a command that would run on instead
+        model = tmp_path / "model.json"
+        model.write_text(GgcModel([2.0], [[3.0]]).to_json())
+        argv = [argv[0], "--model", str(model)] + [a.format(dir=tmp_path) for a in argv[1:]]
+        code = (
+            "import time\n"
+            "from thorin.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            f"rc = main({argv!r})\n"
+            "print(rc, time.perf_counter() - t0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        rc, seconds = proc.stdout.split()
+        assert int(rc) == EXIT_CONFIG
+        assert float(seconds) < 1.0
+        assert proc.stderr.startswith("config error: Unable to allocate")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_import_loads_no_scipy_module(self):
         # start-up cost: every command pays the import, and the library
         # runs on numpy alone; mpmath is thorin.oracle's, which loads on use

@@ -59,7 +59,7 @@ class TestLoss:
         model = GgcModel([1.5, 0.7], [[0.5], [2.0]])
         m = (5,)
         target = CoeffTensor(m, model_coeffs(model, m).coeffs.as_float())
-        assert loss_Lm(target, model, m) <= 1e-28
+        assert loss_Lm(target, model) <= 1e-28
 
     def test_exact_representation(self):
         # a unit-scale exponential is exactly representable, so the loss
@@ -67,7 +67,7 @@ class TestLoss:
         target = CoeffTensor(
             (4,), model_coeffs(GgcModel([1.0], [[1.0]]), (4,)).coeffs.as_float()
         )
-        assert loss_Lm(target, GgcModel([1.0], [[1.0]]), (4,)) <= 1e-20
+        assert loss_Lm(target, GgcModel([1.0], [[1.0]])) <= 1e-20
 
     def test_symmetry(self):
         a = GgcModel([1.2], [[0.8]])
@@ -75,14 +75,14 @@ class TestLoss:
         m = (6,)
         ca = CoeffTensor(m, model_coeffs(a, m).coeffs.as_float())
         cb = CoeffTensor(m, model_coeffs(b, m).coeffs.as_float())
-        assert loss_Lm(ca, b, m) == pytest.approx(loss_Lm(cb, a, m), rel=1e-12)
+        assert loss_Lm(ca, b) == pytest.approx(loss_Lm(cb, a), rel=1e-12)
 
     def test_definition_by_independent_summation(self):
         rng = np.random.default_rng(0)
         model = GgcModel([1.0, 2.0], [[0.5, 0.1], [1.0, 2.0]])
         m = (2, 2)
         target = CoeffTensor(m, rng.normal(size=(3, 3)))
-        got = loss_Lm(target, model, m)
+        got = loss_Lm(target, model)
         a = model_coeffs(model, m).coeffs.as_float()
         expected = math.fsum(
             sorted((float(x) - float(y)) ** 2 for x, y in zip(a.ravel(), target.a.ravel()))
@@ -95,14 +95,9 @@ class TestLoss:
         model = GgcModel([2.0], [[2.0]])
         for m in [(26,), (60,)]:
             target = CoeffTensor(m, np.zeros(m[0] + 1))
-            deep = loss_Lm(target, model, m)
+            deep = loss_Lm(target, model)
             flat = model_coeffs(model, m).coeffs.as_float().ravel()
             assert deep == pytest.approx(float(flat @ flat), rel=1e-10)
-
-    def test_box_mismatch(self):
-        target = CoeffTensor((3,), np.zeros(4))
-        with pytest.raises(ValueError):
-            loss_Lm(target, GgcModel([1.0], [[1.0]]), (4,))
 
 
 class TestDecode:
@@ -211,6 +206,19 @@ class TestFitEmpirical:
 
 
 class TestProjectDensity:
+    @pytest.mark.parametrize("xs, cfg", [
+        (sample(GgcModel([1.5], [[1.0]]), 3000, seed=3),
+         FitConfig(n=1, m=(3,), swarm_size=10, seed=5, max_iters=200, restarts=2)),
+        (sample(GgcModel([2.0, 1.0], [[1.0, 0.5], [0.2, 2.0]]), 3000, seed=4),
+         FitConfig(n=2, swarm_size=20, seed=6, max_iters=60, restarts=2)),
+    ], ids=["d1", "d2"])
+    def test_fit_is_projection_of_empirical_target(self, xs, cfg):
+        # one minimization: a fit is the projection of its empirical
+        # coefficients, report and notes alike
+        rcfg = cfg.resolved(xs.shape[1])
+        want = project_density(empirical_coeffs(xs, rcfg.m), rcfg).to_dict()
+        assert fit_empirical(xs, cfg).to_dict() == want
+
     def test_self_projection_recovers_member(self):
         model = GgcModel([1.0, 2.0], [[0.5], [3.0]])
         m = (4,)
