@@ -6,7 +6,7 @@ randomized path takes an explicit ``--seed``; reruns with identical
 inputs produce byte-identical outputs.
 
 Exit codes: 0 ok, 2 data error, 3 config error, 4 numeric failure.  A
-request too large to hold in memory (``--N``, ``--m``) is a config error.
+request too large to hold in memory (``--N``, ``--B``, ``--m``) is a config error.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Truncated L2 loss between Laguerre coefficient tensors and its global
-minimization: a particle swarm finds the basin, Levenberg-Marquardt
-polishes its best position.
+minimization: in d = 1 Prony's method reads starts off the target's log
+series, else (or when no start is admissible) a particle swarm finds the
+basin, and Levenberg-Marquardt polishes the start or the swarm's best
+position.
 
 One minimization, :func:`project_density`, with two targets: the
 empirical coefficients ``mean_i phi_k(X_i)`` of samples
@@ -58,7 +60,7 @@ _SOCIAL = 1.49
 # way down, so the window is twice that
 _STALL_ITERS = 20
 _STALL_RTOL = 1e-6
-# Levenberg-Marquardt polish of a stalled swarm's best position
+# Levenberg-Marquardt polish of a Prony start or a stalled swarm's best position
 _LM_STEPS = 100
 _LM_RTOL = 1e-10
 _LM_DIFF_STEP = 6e-6  # about eps^(1/3), the central-difference optimum
@@ -323,8 +325,8 @@ def _spd_solve(a, b):
 
 def _polish(theta, loss, target_flat, n, d, m):
     """Levenberg-Marquardt on the residual ``a(theta) - target`` from a
-    stalled swarm's best position ``theta`` with loss ``loss`` (Moré 1978;
-    Nocedal & Wright 2006, 10.3).
+    start ``theta`` with loss ``loss``: a Prony start or a stalled swarm's
+    best position (Moré 1978; Nocedal & Wright 2006, 10.3).
 
     The Jacobian comes from central differences, all ``2p`` perturbed
     particles in one kernel call.  Gauss-Newton alone would be singular:
@@ -379,6 +381,54 @@ def _polish(theta, loss, target_flat, n, d, m):
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _LM_DAMP_MIN)
 
 
+def _prony_starts(a: np.ndarray, n: int):
+    """Starts of at most ``n`` atoms read off a univariate target ``a_0..a_M``
+    by Prony's method (de Prony 1795; Hua & Sarkar 1990), as
+    ``(k, theta)`` pairs in the swarm's coordinates, ``k`` atoms each.
+
+    The generating function of the basis makes the model's log series
+    ``c = log(sum_k a_k z^k)`` satisfy ``k c_k - 1 = sum_i alpha_i (r_i^k - 1)``
+    with ``r_i = (1 - s_i)/(1 + s_i)``, so ``g_k = h_{k+1} - h_k`` with
+    ``h_0 = 0``, ``h_k = k c_k - 1``, is the sum of exponentials
+    ``sum_i alpha_i (r_i - 1) r_i^k``.  For each ``k = min(n, M//2), ..., 1``
+    the nodes ``r_i`` are the roots of the recurrence that one Hankel
+    least-squares solve fits to ``g``, and the weights ``w_i`` come from
+    one Vandermonde solve.  A start is admissible when every node is real
+    in ``(-1, 1)`` and every shape ``alpha_i = w_i / (r_i - 1)`` is
+    positive; then the atom's simplex coordinates are ``((1 - r_i)/2,
+    (1 + r_i)/2)``.  No start comes from a target with ``a_0 <= 0`` or a
+    non-finite log series.
+    """
+    M = a.size - 1
+    if not a[0] > 0.0:
+        return []
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = a / a[0]
+        c = np.zeros(M + 1)
+        for k in range(1, M + 1):  # k b_k = sum_j j c_j b_{k-j}, as B = exp(C)
+            c[k] = b[k] - np.einsum("j,j->", np.arange(1, k) * c[1:k], b[k - 1 : 0 : -1]) / k
+        h = np.arange(M + 1) * c - 1.0
+        h[0] = 0.0
+        g = np.diff(h)
+    if not np.all(np.isfinite(g)):
+        return []
+    starts = []
+    for k in range(min(n, M // 2), 0, -1):
+        hankel = np.lib.stride_tricks.sliding_window_view(g, k)[: M - k]
+        q = np.linalg.lstsq(hankel, g[k:], rcond=None)[0]
+        r = np.roots(np.concatenate([[1.0], -q[::-1]]))
+        if not (np.all(np.isreal(r)) and np.all(np.abs(r) < 1.0)):
+            continue
+        r = r.real
+        w = np.linalg.lstsq(r[None, :] ** np.arange(M)[:, None], g, rcond=None)[0]
+        alpha = w / (r - 1.0)
+        if not np.all(alpha > 0.0):
+            continue
+        simplex = np.stack([(1.0 - r) / 2.0, (1.0 + r) / 2.0], axis=1)
+        starts.append((k, np.concatenate([np.log(alpha), np.log(simplex).ravel()])))
+    return starts
+
+
 def fit_empirical(samples, cfg: FitConfig) -> FitReport:
     """Fit a model to observations: :func:`project_density` towards
     their empirical Laguerre coefficients."""
@@ -393,21 +443,38 @@ def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
     those of a formal density, such as :func:`theoretical_coeffs`.
 
     ``target`` must cover the box ``cfg`` resolves to in its dimension.
-    Deterministic given ``(target, cfg)``.  Non-convergence is not an
-    error: ``converged`` is true only when the chosen restart's swarm
-    stalled and its polish met the stopping test of :func:`_polish`; a
-    swarm stopped by ``cfg.max_iters`` is returned unpolished.  ``iters``
-    counts swarm iterations, and ``notes`` holds one line per polished
-    restart.  The whole fit runs in doubles; the model may hold fewer
-    than ``cfg.n`` atoms.
+    Deterministic given ``(target, cfg)``.  In d = 1 every admissible
+    start of :func:`_prony_starts` is polished and the lowest polished
+    loss is kept; ``converged`` is that polish's stopping test of
+    :func:`_polish`, and ``notes`` holds one line per polished start.
+    In d >= 2, or when no start is admissible, ``cfg.restarts`` swarm
+    restarts run instead: ``converged`` is true only when the chosen
+    restart's swarm stalled and its polish met the stopping test; a swarm
+    stopped by ``cfg.max_iters`` is returned unpolished, and ``notes``
+    holds one line per polished restart.  ``iters`` counts swarm
+    iterations and ``restarts_used`` swarm restarts, both 0 when a start
+    was used, and then ``cfg.seed`` has no effect.  Non-convergence is
+    not an error.  The whole fit runs in doubles; the model may hold
+    fewer than ``cfg.n`` atoms.
     """
     d = target.d
     cfg = cfg.resolved(d)
     if target.m != cfg.m:
         raise ValueError(f"target box {target.m} does not match box {cfg.m}")
     target_flat = target.as_float().ravel()
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best, notes = None, []
+    for k, theta in _prony_starts(target_flat, cfg.n) if d == 1 else ():
+        start_loss = float(_losses(theta[None, :], target_flat, k, d, cfg.m)[0])
+        if not np.isfinite(start_loss):
+            continue
+        pos, loss, steps, gnorm, converged = _polish(theta, start_loss, target_flat, k, d, cfg.m)
+        notes.append(f"start k={k}: Prony loss {start_loss:.10e}, "
+                     f"polished loss {loss:.10e} after {steps} LM steps, "
+                     f"gradient norm {gnorm:.3e}" + ("" if converged else ", not converged"))
+        if best is None or loss < best[1]:
+            best = (pos, loss, converged, k)
+    # the swarm is the fallback of d = 1, where no restart runs once a start is polished
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts if best is None else 0)
     iters_total = 0
     for r, ss in enumerate(streams):
         rng = np.random.default_rng(ss)
@@ -421,9 +488,9 @@ def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
                          f"polished loss {gloss:.10e} after {steps} LM steps, "
                          f"gradient norm {gnorm:.3e}" + ("" if converged else ", not converged"))
         if best is None or gloss < best[1]:
-            best = (gpos, gloss, converged)
-    gpos, _, converged = best
-    alpha, simplex = _decode(gpos[None, :], cfg.n, d)
+            best = (gpos, gloss, converged, cfg.n)
+    gpos, _, converged, k = best
+    alpha, simplex = _decode(gpos[None, :], k, d)
     model = _fitted_model(alpha[0], simplex[0])
     digest = hashlib.sha256(repr(cfg.m).encode())
     digest.update(np.ascontiguousarray(target.a, dtype=float).tobytes())
@@ -435,7 +502,7 @@ def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
         n=cfg.n,
         seed=cfg.seed,
         iters=iters_total,
-        restarts_used=cfg.restarts,
+        restarts_used=len(streams),
         converged=converged,
         empirical_coeffs_hash=digest.hexdigest(),
         notes=tuple(notes),

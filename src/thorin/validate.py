@@ -248,7 +248,9 @@ def resampled_pvalues(
     """``B`` independent exact-KS p-values of size-``N`` model samples
     against a reference cdf.
 
-    Replicate ``i`` draws from the ``i``-th stream split from ``seed`` and
+    Replicate ``i`` draws from the ``i``-th stream split from ``seed``
+    (``SeedSequence(seed, spawn_key=(i,))``, the ``i``-th child of
+    ``SeedSequence(seed).spawn(B)``, built when the replicate runs) and
     writes only the ``i``-th p-value, so the output is reproducible and does
     not depend on the thread count. The replicates run on as many threads
     as the process has CPUs, at most ``B``, the calling thread among them;
@@ -261,7 +263,6 @@ def resampled_pvalues(
         raise ValueError("resampling validation is univariate")
     if B < 1:
         raise ValueError("B must be >= 1")
-    streams = np.random.SeedSequence(seed).spawn(B)
     pv = np.empty(B)
     errors = []
     workers = min(_cpu_count(), B)
@@ -271,7 +272,8 @@ def resampled_pvalues(
             for i in range(first, B, workers):
                 if errors:
                     return
-                xs = sample(model, N, np.random.default_rng(streams[i])).ravel()
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+                xs = sample(model, N, rng).ravel()
                 pv[i] = ks_exact(xs, true_cdf).p_value
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)

@@ -189,6 +189,7 @@ def test_A8_ks_pvalue_calibration_lognormal_fit():
     data = np.exp(rng.normal(0.0, 0.83, 100_000))
     cfg = FitConfig(n=10, m=(21,), seed=1234, max_iters=2000, restarts=3)
     rep = fit_empirical(data, cfg)
+    assert rep.converged, rep.notes
     cdf = bench_cdf("lognormal", {"mu": 0.0, "sigma": 0.83})
     pv = resampled_pvalues(rep.model, cdf, 10_000, 50, seed=99)
     frac = float(np.mean(pv < 0.05))

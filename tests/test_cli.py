@@ -776,10 +776,11 @@ class TestEntryPoint:
         ["sample", "--N", str(10**16), "--output", "{dir}/s.csv"],
         ["validate", "--target", "lognormal", "--N", str(10**16), "--B", "2",
          "--output", "{dir}/val"],
+        ["validate", "--target", "lognormal", "--B", str(10**16), "--output", "{dir}/val"],
         ["coeffs", "--m", str(10**16), "--output", "{dir}/c.json"],
-    ], ids=["sample", "validate", "coeffs"])
+    ], ids=["sample", "validate", "validate-B", "coeffs"])
     def test_request_too_large_to_hold_is_a_config_error(self, tmp_path, argv):
-        # 10^16 rows or entries (at least 71 PiB) lie beyond a 2^47-byte
+        # 10^16 rows, replicates or entries (at least 71 PiB) lie beyond a 2^47-byte
         # address space, so no overcommit setting lets the allocation
         # through; the timeout ends a command that would run on instead
         model = tmp_path / "model.json"

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -174,8 +175,9 @@ class TestFitEmpirical:
         assert a.empirical_coeffs_hash == b.empirical_coeffs_hash
 
     def test_nonconvergence_is_flagged_not_raised(self):
-        xs = sample(GgcModel([1.0], [[1.0]]), 2000, seed=5)
-        cfg = FitConfig(n=2, m=(4,), seed=0, max_iters=3, restarts=1)
+        # d = 2, where the swarm always runs (d = 1 starts from Prony's form)
+        xs = sample(GgcModel([1.0], [[1.0, 0.5]]), 2000, seed=5)
+        cfg = FitConfig(n=2, m=(2, 2), seed=0, max_iters=3, restarts=1)
         rep = fit_empirical(xs, cfg)
         assert not rep.converged
         assert rep.loss >= 0.0
@@ -241,6 +243,53 @@ class TestProjectDensity:
             project_density(CoeffTensor((3,), np.zeros(4)), cfg)
 
 
+class TestPronyStart:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exact_models_are_recovered_atom_for_atom(self, n):
+        # nodes r = (1 - s)/(1 + s) kept apart, so the atoms are well
+        # conditioned in the 2n + 1 coefficients
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5):
+            r = np.linspace(-0.6, 0.6, n) + rng.uniform(-0.1, 0.1, n)
+            alpha = rng.uniform(0.5, 3.0, n)
+            scales = (1.0 - r) / (1.0 + r)
+            m = (2 * n,)
+            rep = project_density(float_coeffs(GgcModel(alpha, scales[:, None]), m),
+                                  FitConfig(n=n, m=m))
+            assert rep.iters == 0 and rep.restarts_used == 0
+            assert rep.loss < 1e-20
+            order = np.argsort(rep.model.scales.ravel())[::-1]
+            np.testing.assert_allclose(rep.model.alpha[order], alpha, rtol=1e-6)
+            np.testing.assert_allclose(rep.model.scales.ravel()[order], scales, rtol=1e-6)
+
+    def test_d1_runs_no_swarm(self, monkeypatch, tmp_path):
+        # the README log-normal projection and A8's fit both start from
+        # Prony's form; a swarm on either path is a regression
+        from thorin import cli, estimator
+
+        def no_swarm(*args):
+            raise AssertionError("the swarm ran")
+
+        monkeypatch.setattr(estimator, "_pso_once", no_swarm)
+        assert cli.main(["project", "--density", "lognormal", "--params", "mu=0,sigma=0.83",
+                         "--n", "2", "--seed", "0", "--output", str(tmp_path)]) == cli.EXIT_OK
+        data = np.exp(np.random.default_rng(7).normal(0.0, 0.83, 100_000))
+        rep = fit_empirical(data, FitConfig(n=10, m=(21,), seed=1234, max_iters=2000, restarts=3))
+        assert rep.converged and rep.iters == 0
+
+    @pytest.mark.parametrize("xs, m", [
+        (sample(GgcModel([1.5], [[1.0]]), 2000, seed=3), (1,)),  # no second coefficient
+        (sample(GgcModel([1000.0], [[1.0]]), 2000, seed=3), (4,)),  # a_0 underflows
+    ], ids=["box1", "raw-scale"])
+    def test_swarm_is_the_fallback(self, xs, m):
+        cfg = FitConfig(n=2, m=m, seed=0, max_iters=60, restarts=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = fit_empirical(xs, cfg)
+        assert rep.iters > 0 and rep.restarts_used == 2
+        assert all(note.startswith("restart ") for note in rep.notes)
+
+
 def _swarm_position(model):
     """Swarm coordinates of a model: log shapes, then each atom's simplex logits."""
     s = model.scales
@@ -283,13 +332,14 @@ class TestPolish:
         assert loss == float(_losses(pos[None, :], target, n, d, m)[0])
 
     def test_swarm_stopped_by_max_iters_is_not_polished(self):
-        xs = sample(GgcModel([1.0], [[1.0]]), 2000, seed=5)
-        cfg = FitConfig(n=2, m=(4,), seed=0, max_iters=3, restarts=1)
+        xs = sample(GgcModel([1.0], [[1.0, 0.5]]), 2000, seed=5)
+        m = (2, 2)
+        cfg = FitConfig(n=2, m=m, seed=0, max_iters=3, restarts=1)
         rep = fit_empirical(xs, cfg)
-        target = empirical_coeffs(xs, (4,)).as_float().ravel()
+        target = empirical_coeffs(xs, m).as_float().ravel()
         rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
-        gbest, _, iters, stalled = _pso_once(target, 2, 1, (4,), cfg.resolved(1), rng)
-        alpha, simplex = _decode(gbest[None, :], 2, 1)
+        gbest, _, iters, stalled = _pso_once(target, 2, 2, m, cfg.resolved(2), rng)
+        alpha, simplex = _decode(gbest[None, :], 2, 2)
         swarm = _fitted_model(alpha[0], simplex[0])
         assert not stalled and iters == rep.iters == 3
         assert not rep.converged and rep.notes == ()
@@ -325,10 +375,18 @@ class TestPolish:
             "rep = project_density(target, FitConfig(n=2, seed=3, restarts=2))\n"
             "print(json.dumps(rep.to_dict(), sort_keys=True).replace(' ', ''))\n"
             "print(rep.loss.hex(), len(rep.notes), rep.converged)\n"
+            # A8's fit: Prony starts of up to 4 atoms from lstsq and np.roots
+            "import numpy as np\n"
+            "from thorin.estimator import fit_empirical\n"
+            "data = np.exp(np.random.default_rng(7).normal(0.0, 0.83, 100_000))\n"
+            "rep = fit_empirical(data, FitConfig(n=10, m=(21,), seed=1234))\n"
+            "print(json.dumps(rep.to_dict(), sort_keys=True).replace(' ', ''))\n"
+            "print(rep.loss.hex(), len(rep.notes), rep.converged)\n"
         )
         out = stdout_per_blas_threads(code)
         assert out[0] == out[1]
-        assert int(out[0][-2]) >= 1  # a polish ran
+        assert int(out[0][2]) >= 1  # a polish ran
+        assert int(out[0][-2]) == 4  # one note per Prony start
 
 
 @functools.lru_cache(maxsize=None)

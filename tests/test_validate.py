@@ -246,6 +246,16 @@ class TestResampledPvalues:
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         assert len(callers) == min(workers, B)
 
+    def test_huge_replicate_count_fails_before_any_replicate(self, monkeypatch):
+        # the p-value array is allocated first; streams are built per
+        # replicate, so nothing grows with B before that allocation
+        started = []
+        monkeypatch.setattr("thorin.validate.sample", lambda *args: started.append(args))
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        with pytest.raises(MemoryError):
+            resampled_pvalues(GgcModel([1.0], [[1.0]]), lambda x: x, 100, 10**16, seed=0)
+        assert started == []
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_replicate_exception_reaches_caller(self, monkeypatch, workers):
         monkeypatch.setattr("thorin.validate._cpu_count", lambda: workers)
