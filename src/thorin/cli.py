@@ -239,6 +239,9 @@ def cmd_project(args) -> int:
     cfg = _fit_config(args)
     d = 2 if name == "mln_gaussian" else 1
     rcfg = cfg.resolved(d)
+    if len(rcfg.m) != d:
+        raise ConfigError(f"--m {','.join(map(str, rcfg.m))} has dimension {len(rcfg.m)}, "
+                          f"but density {name} has dimension {d}")
     report = project_density(theoretical_coeffs(pdf, rcfg.m, jumps), rcfg)
     if name == "pareto" and params["k"] <= 0.5:
         report.notes = report.notes + (

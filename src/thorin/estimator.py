@@ -1,19 +1,20 @@
 """Truncated L2 loss between Laguerre coefficient tensors and its global
-minimization: in d = 1 Prony's method reads starts off the target's log
-series, else (or when no start is admissible) a particle swarm finds the
-basin, and Levenberg-Marquardt polishes the start or the swarm's best
-position.
+minimization, :func:`project_density`.  Its starts come from Prony's
+method on the target's log series in d = 1, else (or when Prony gives
+none) from particle swarm restarts; one rule finishes every start:
+Levenberg-Marquardt polishes it, unless it is a swarm stopped by its
+iteration cap, and the lowest loss wins.
 
-One minimization, :func:`project_density`, with two targets: the
-empirical coefficients ``mean_i phi_k(X_i)`` of samples
-(:func:`fit_empirical`), or the coefficients ``<f, phi_k>`` of a formal
-density, from one tanh-sinh quadrature in doubles
+The target is the empirical coefficients ``mean_i phi_k(X_i)`` of
+samples (:func:`fit_empirical`), or the coefficients ``<f, phi_k>`` of a
+formal density, from one tanh-sinh quadrature in doubles
 (:func:`theoretical_coeffs`), tested against
-:func:`thorin.oracle.theoretical_moments`.  The search
-runs in an unconstrained parameterization: log-space for the shapes and
-simplex-logit space for each scale row (the logs of the row's simplex
-coordinates and of the residual), so every particle decodes to a valid
-model without clamping.
+:func:`thorin.oracle.theoretical_moments`.  The search reads its box and
+dimension off the target's :class:`~thorin.laguerre.CoeffTensor` and its
+atom count off the length of a position.  It runs in an unconstrained
+parameterization: log-space for the shapes and simplex-logit space for
+each scale row (the logs of the row's simplex coordinates and of the
+residual), so every particle decodes to a valid model without clamping.
 Model coefficients, for the swarm and for the reported loss alike, come
 from one double kernel, :func:`thorin.ggc.batch_coeffs`.
 """
@@ -163,8 +164,8 @@ class QuadratureError(RuntimeError):
         self.achieved_tol = achieved_tol
 
 
-def _decode(params: np.ndarray, n: int, d: int):
-    """Particle positions to (shapes, simplex coordinates).
+def _decode(params: np.ndarray, d: int):
+    """Particle positions, ``P x n(d+2)``, to (shapes, simplex coordinates).
 
     The simplex coordinates are ``P x n x (d+1)``: the simplex scales
     followed by the residual.  The residual logit is kept within exp(-28)
@@ -172,7 +173,7 @@ def _decode(params: np.ndarray, n: int, d: int):
     searchable scale magnitudes near 1e12, the scale-side analog of the
     shape floor ``_SHAPE_FLOOR``.
     """
-    P = params.shape[0]
+    P, n = params.shape[0], params.shape[1] // (d + 2)
     alpha = np.minimum(params[:, :n], 50.0)
     np.exp(alpha, out=alpha)
     np.maximum(alpha, _SHAPE_FLOOR, out=alpha)
@@ -233,28 +234,30 @@ def _init_particles(rng, swarm: int, n: int, d: int):
     return pos
 
 
-def _residuals(params, target_flat, n, d, m):
+def _residuals(params, target: CoeffTensor):
     """Coefficients of each particle's model minus the target, one row each."""
-    alpha, simplex = _decode(params, n, d)
-    res = batch_coeffs(alpha, simplex, m)
-    res -= target_flat
+    alpha, simplex = _decode(params, target.d)
+    res = batch_coeffs(alpha, simplex, target.m)
+    res -= target.as_float().ravel()
     return res
 
 
-def _losses(params, target_flat, n, d, m):
+def _losses(params, target: CoeffTensor):
     """Swarm objective of each particle; a non-finite one reads ``inf``."""
     with np.errstate(invalid="ignore", over="ignore"):
-        res = _residuals(params, target_flat, n, d, m)
+        res = _residuals(params, target)
         res *= res
         val = res.sum(axis=1)
     val[~np.isfinite(val)] = np.inf
     return val
 
 
-def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
-    """One restart's swarm: its best position and loss, the iterations it
-    made and whether it stalled (else it stopped at ``cfg.max_iters``)."""
-    swarm = cfg.swarm_size
+def _pso_once(target: CoeffTensor, cfg: FitConfig, rng):
+    """One restart's swarm of ``cfg.n`` atoms towards ``target``, on the
+    stream ``rng``: its best position and loss, the iterations it made
+    and whether it stalled (else it stopped at ``cfg.max_iters``).
+    ``cfg`` is resolved to the target's box."""
+    swarm, n, d = cfg.swarm_size, cfg.n, target.d
     npar = n * (d + 2)
     lo = np.full(npar, _LOGSHAPE_RANGE[0])
     hi = np.full(npar, _LOGSHAPE_RANGE[1])
@@ -265,7 +268,7 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
     pos = _init_particles(rng, swarm, n, d)
     vel = rng.uniform(-1.0, 1.0, size=(swarm, npar)) * (0.1 * vmax)[None, :]
     pbest = pos.copy()
-    pbl = _losses(pos, target_flat, n, d, m)
+    pbl = _losses(pos, target)
     gi = int(np.argmin(pbl))
     gbest, gbl = pbest[gi].copy(), float(pbl[gi])
     stall, last = 0, gbl
@@ -284,7 +287,7 @@ def _pso_once(target_flat, n, d, m, cfg: FitConfig, rng):
         np.maximum(vel, vmin, out=vel)
         np.minimum(vel, vmax, out=vel)
         pos += vel
-        cur = _losses(pos, target_flat, n, d, m)
+        cur = _losses(pos, target)
         upd = cur < pbl
         pbest[upd] = pos[upd]
         pbl[upd] = cur[upd]
@@ -323,10 +326,12 @@ def _spd_solve(a, b):
     return x
 
 
-def _polish(theta, loss, target_flat, n, d, m):
+def _polish(theta, loss, target: CoeffTensor):
     """Levenberg-Marquardt on the residual ``a(theta) - target`` from a
-    start ``theta`` with loss ``loss``: a Prony start or a stalled swarm's
-    best position (Moré 1978; Nocedal & Wright 2006, 10.3).
+    start ``theta`` with loss ``loss`` towards the coefficient tensor
+    ``target``, whose box and dimension ``d`` it uses, with the atom count
+    ``theta.size // (d + 2)``: a Prony start or a stalled swarm's best
+    position (Moré 1978; Nocedal & Wright 2006, 10.3).
 
     The Jacobian comes from central differences, all ``2p`` perturbed
     particles in one kernel call.  Gauss-Newton alone would be singular:
@@ -355,7 +360,7 @@ def _polish(theta, loss, target_flat, n, d, m):
         shift = np.diag(_LM_DIFF_STEP * np.maximum(1.0, np.abs(theta)))
         up, down = theta + shift, theta - shift
         with np.errstate(invalid="ignore", over="ignore"):
-            res = _residuals(np.concatenate([up, down, theta[None, :]]), target_flat, n, d, m)
+            res = _residuals(np.concatenate([up, down, theta[None, :]]), target)
             jac = (res[:p] - res[p:-1]) / (np.diag(up) - np.diag(down))[:, None]  # p x B
         grad = np.einsum("ib,b->i", jac, res[-1])
         gnorm = 2.0 * float(np.sqrt((grad ** 2).sum()))
@@ -369,7 +374,7 @@ def _polish(theta, loss, target_flat, n, d, m):
         while lam <= _LM_DAMP_MAX:
             h = _spd_solve(scaled + lam * np.eye(p), -unit * grad)
             trial = theta + unit * h
-            tloss = float(_losses(trial[None, :], target_flat, n, d, m)[0])
+            tloss = float(_losses(trial[None, :], target)[0])
             if tloss < loss:
                 break
             lam, nu = lam * nu, 2.0 * nu
@@ -443,54 +448,47 @@ def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
     those of a formal density, such as :func:`theoretical_coeffs`.
 
     ``target`` must cover the box ``cfg`` resolves to in its dimension.
-    Deterministic given ``(target, cfg)``.  In d = 1 every admissible
-    start of :func:`_prony_starts` is polished and the lowest polished
-    loss is kept; ``converged`` is that polish's stopping test of
-    :func:`_polish`, and ``notes`` holds one line per polished start.
-    In d >= 2, or when no start is admissible, ``cfg.restarts`` swarm
-    restarts run instead: ``converged`` is true only when the chosen
-    restart's swarm stalled and its polish met the stopping test; a swarm
-    stopped by ``cfg.max_iters`` is returned unpolished, and ``notes``
-    holds one line per polished restart.  ``iters`` counts swarm
-    iterations and ``restarts_used`` swarm restarts, both 0 when a start
-    was used, and then ``cfg.seed`` has no effect.  Non-convergence is
-    not an error.  The whole fit runs in doubles; the model may hold
-    fewer than ``cfg.n`` atoms.
+    Deterministic given ``(target, cfg)``.  The starts are, in d = 1,
+    each start of :func:`_prony_starts` with a finite loss, and in
+    d >= 2, or when there is no such start, the best positions of
+    ``cfg.restarts`` swarm restarts.  One rule finishes them all: a
+    Prony start, or a restart whose swarm stalled, is polished by
+    :func:`_polish` and writes one line to ``notes``; a restart stopped
+    by ``cfg.max_iters`` enters as it stands, with ``converged`` false.
+    The lowest loss wins, the first among equals, and ``converged`` is
+    its polish's stopping test.  ``iters`` counts swarm iterations and
+    ``restarts_used`` swarm restarts, both 0 when Prony gave a start, and
+    then ``cfg.seed`` has no effect.  Non-convergence is not an error.
+    The whole fit runs in doubles; the model may hold fewer than
+    ``cfg.n`` atoms.
     """
     d = target.d
     cfg = cfg.resolved(d)
     if target.m != cfg.m:
         raise ValueError(f"target box {target.m} does not match box {cfg.m}")
-    target_flat = target.as_float().ravel()
-    best, notes = None, []
-    for k, theta in _prony_starts(target_flat, cfg.n) if d == 1 else ():
-        start_loss = float(_losses(theta[None, :], target_flat, k, d, cfg.m)[0])
-        if not np.isfinite(start_loss):
-            continue
-        pos, loss, steps, gnorm, converged = _polish(theta, start_loss, target_flat, k, d, cfg.m)
-        notes.append(f"start k={k}: Prony loss {start_loss:.10e}, "
-                     f"polished loss {loss:.10e} after {steps} LM steps, "
-                     f"gradient norm {gnorm:.3e}" + ("" if converged else ", not converged"))
-        if best is None or loss < best[1]:
-            best = (pos, loss, converged, k)
-    # the swarm is the fallback of d = 1, where no restart runs once a start is polished
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts if best is None else 0)
+    starts = []  # (position, loss, label of its note, whether it is polished)
+    for k, theta in _prony_starts(target.a, cfg.n) if d == 1 else ():
+        loss = float(_losses(theta[None, :], target)[0])
+        if np.isfinite(loss):
+            starts.append((theta, loss, f"start k={k}: Prony loss {loss:.10e}", True))
+    # the swarm is the fallback of d = 1, where no restart runs once Prony gives a start
+    streams = np.random.SeedSequence(cfg.seed).spawn(0 if starts else cfg.restarts)
     iters_total = 0
     for r, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        gpos, gloss, iters, stalled = _pso_once(target_flat, cfg.n, d, cfg.m, cfg, rng)
+        theta, loss, iters, stalled = _pso_once(target, cfg, np.random.default_rng(ss))
         iters_total += iters
+        starts.append((theta, loss, f"restart {r}: swarm loss {loss:.10e} "
+                       f"after {iters} iterations", stalled))
+    best, notes = None, []
+    for theta, loss, label, polish in starts:
         converged = False
-        if stalled:
-            swarm_loss = gloss
-            gpos, gloss, steps, gnorm, converged = _polish(gpos, gloss, target_flat, cfg.n, d, cfg.m)
-            notes.append(f"restart {r}: swarm loss {swarm_loss:.10e} after {iters} iterations, "
-                         f"polished loss {gloss:.10e} after {steps} LM steps, "
+        if polish:
+            theta, loss, steps, gnorm, converged = _polish(theta, loss, target)
+            notes.append(f"{label}, polished loss {loss:.10e} after {steps} LM steps, "
                          f"gradient norm {gnorm:.3e}" + ("" if converged else ", not converged"))
-        if best is None or gloss < best[1]:
-            best = (gpos, gloss, converged, cfg.n)
-    gpos, _, converged, k = best
-    alpha, simplex = _decode(gpos[None, :], k, d)
+        if best is None or loss < best[1]:
+            best = (theta, loss, converged)
+    alpha, simplex = _decode(best[0][None, :], d)
     model = _fitted_model(alpha[0], simplex[0])
     digest = hashlib.sha256(repr(cfg.m).encode())
     digest.update(np.ascontiguousarray(target.a, dtype=float).tobytes())
@@ -503,7 +501,7 @@ def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
         seed=cfg.seed,
         iters=iters_total,
         restarts_used=len(streams),
-        converged=converged,
+        converged=best[2],
         empirical_coeffs_hash=digest.hexdigest(),
         notes=tuple(notes),
     )

@@ -697,6 +697,18 @@ class TestProject:
         )
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("density, box, dims", [
+        ("mln_gaussian", "3", "dimension 1, but density mln_gaussian has dimension 2"),
+        ("lognormal", "3,3", "dimension 2, but density lognormal has dimension 1"),
+        ("mln_gaussian", "3,3,3", "dimension 3, but density mln_gaussian has dimension 2"),
+    ])
+    def test_box_of_another_dimension_is_config_error(self, tmp_path, capsys, density, box, dims):
+        out = tmp_path / "p"
+        rc = main(["project", "--density", density, "--n", "1", "--m", box, "--output", str(out)])
+        assert rc == EXIT_CONFIG
+        assert dims in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_usage_error_maps_to_config_exit(self):

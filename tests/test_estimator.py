@@ -106,7 +106,7 @@ class TestDecode:
         rng = np.random.default_rng(1)
         for n, d in [(1, 1), (3, 2), (5, 3)]:
             params = rng.normal(scale=8.0, size=(200, n * (d + 2)))
-            alpha, simplex = _decode(params, n, d)
+            alpha, simplex = _decode(params, d)
             x, rho = simplex[:, :, :d], simplex[:, :, d]
             assert np.all(alpha >= 1e-12)
             assert np.all(x >= 0.0)
@@ -297,18 +297,52 @@ def _swarm_position(model):
     return np.concatenate([np.log(model.alpha), np.log(simplex).ravel()])
 
 
+class TestFirstOfEqualLosses:
+    """Starts that finish on the same loss report the first of them."""
+
+    def test_prony_starts(self, monkeypatch):
+        def tied_polish(theta, loss, target):
+            return theta, 1.0, 1, 0.0, True
+
+        monkeypatch.setattr("thorin.estimator._polish", tied_polish)
+        m = (4,)
+        rep = project_density(float_coeffs(GgcModel([1.0, 2.0], [[0.5], [3.0]]), m),
+                              FitConfig(n=2, m=m))
+        assert [note.split(":")[0] for note in rep.notes] == ["start k=2", "start k=1"]
+        assert rep.model.n == 2
+
+    def test_swarm_restarts(self, monkeypatch):
+        positions = []
+
+        def tied_swarm(target, cfg, rng):
+            atoms = GgcModel([1.0 + len(positions), 0.5], [[1.0, 0.5], [0.2, 0.3]])
+            positions.append(_swarm_position(atoms))
+            return positions[-1], 1.0, 5, False
+
+        monkeypatch.setattr("thorin.estimator._pso_once", tied_swarm)
+        m = (2, 2)
+        rep = project_density(float_coeffs(GgcModel([1.0], [[1.0, 0.5]]), m),
+                              FitConfig(n=2, m=m, restarts=3))
+        alpha, simplex = _decode(positions[0][None, :], 2)
+        first = _fitted_model(alpha[0], simplex[0])
+        assert len(positions) == rep.restarts_used == 3
+        assert rep.notes == () and not rep.converged
+        assert np.array_equal(rep.model.alpha, first.alpha)
+        assert np.array_equal(rep.model.scales, first.scales)
+
+
 class TestPolish:
     def test_recovers_a_perturbed_member(self):
         model = GgcModel([1.0, 2.0], [[0.5], [3.0]])
         m = (4,)
-        target = float_coeffs(model, m).a.ravel()
+        target = float_coeffs(model, m)
         theta = _swarm_position(model) + np.random.default_rng(3).normal(scale=0.05, size=6)
-        start = float(_losses(theta[None, :], target, 2, 1, m)[0])
+        start = float(_losses(theta[None, :], target)[0])
         assert start > 1e-6
-        pos, loss, steps, gnorm, converged = _polish(theta, start, target, 2, 1, m)
+        pos, loss, steps, gnorm, converged = _polish(theta, start, target)
         assert loss < 1e-20
         assert converged and 0 < steps < 100
-        alpha, simplex = _decode(pos[None, :], 2, 1)
+        alpha, simplex = _decode(pos[None, :], 1)
         got = _fitted_model(alpha[0], simplex[0])
         np.testing.assert_allclose(got.alpha, model.alpha, rtol=1e-6)
         np.testing.assert_allclose(got.scales, model.scales, rtol=1e-6)
@@ -319,27 +353,27 @@ class TestPolish:
         if case == "weibull":
             n, m = 3, (6,)
             pdf, jumps = bench_pdf("weibull", {"k": 1.5})
-            target = theoretical_coeffs(pdf, m, jumps).as_float().ravel()
+            target = theoretical_coeffs(pdf, m, jumps)
         else:
             n, m = 2, (3, 3)
             xs = sample(GgcModel([1.0, 0.7, 0.5], [[1.0, 0.2], [0.1, 2.0], [0.8, 0.8]]), 3000, seed=4)
-            target = empirical_coeffs(xs, m).as_float().ravel()
+            target = empirical_coeffs(xs, m)
         d = len(m)
         cfg = FitConfig(n=n, m=m, seed=seed, max_iters=40, restarts=1).resolved(d)
-        gbest, gloss, _, _ = _pso_once(target, n, d, m, cfg, np.random.default_rng(seed))
-        pos, loss, _, _, _ = _polish(gbest, gloss, target, n, d, m)
+        gbest, gloss, _, _ = _pso_once(target, cfg, np.random.default_rng(seed))
+        pos, loss, _, _, _ = _polish(gbest, gloss, target)
         assert loss <= gloss
-        assert loss == float(_losses(pos[None, :], target, n, d, m)[0])
+        assert loss == float(_losses(pos[None, :], target)[0])
 
     def test_swarm_stopped_by_max_iters_is_not_polished(self):
         xs = sample(GgcModel([1.0], [[1.0, 0.5]]), 2000, seed=5)
         m = (2, 2)
         cfg = FitConfig(n=2, m=m, seed=0, max_iters=3, restarts=1)
         rep = fit_empirical(xs, cfg)
-        target = empirical_coeffs(xs, m).as_float().ravel()
+        target = empirical_coeffs(xs, m)
         rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
-        gbest, _, iters, stalled = _pso_once(target, 2, 2, m, cfg.resolved(2), rng)
-        alpha, simplex = _decode(gbest[None, :], 2, 2)
+        gbest, _, iters, stalled = _pso_once(target, cfg.resolved(2), rng)
+        alpha, simplex = _decode(gbest[None, :], 2)
         swarm = _fitted_model(alpha[0], simplex[0])
         assert not stalled and iters == rep.iters == 3
         assert not rep.converged and rep.notes == ()

@@ -377,7 +377,7 @@ class TestBatchCoeffs:
         uniform = rng.uniform(-18.0, 0.0, size=(P, n * (d + 2)))
         uniform[:, :n] = rng.uniform(math.log(1e-2), math.log(1e2), size=(P, n))
         for params in (init, uniform):
-            alpha, simplex = _decode(params, n, d)
+            alpha, simplex = _decode(params, d)
             assert self.max_error(alpha, simplex, m) <= 1e-13
 
     @pytest.mark.parametrize("m", [(60,), (6, 6)])
@@ -396,7 +396,7 @@ class TestBatchCoeffs:
 
 def swarm_particles(P, n, m, seed=3):
     rng = np.random.default_rng(seed)
-    return _decode(_init_particles(rng, P, n, len(m)), n, len(m))
+    return _decode(_init_particles(rng, P, n, len(m)), len(m))
 
 
 class TestKernelBlocks:
@@ -437,7 +437,7 @@ class TestKernelBlocks:
             "from thorin.ggc import batch_coeffs\n"
             "for m in ((20, 20), (3, 3, 3)):\n"
             "    rng = np.random.default_rng(3)\n"
-            "    alpha, simplex = _decode(_init_particles(rng, 300, 20, len(m)), 20, len(m))\n"
+            "    alpha, simplex = _decode(_init_particles(rng, 300, 20, len(m)), len(m))\n"
             "    sys.stdout.write(batch_coeffs(alpha, simplex, m).tobytes().hex() + '\\n')\n"
         )
         out = stdout_per_blas_threads(code)
