@@ -64,6 +64,9 @@ _STALL_RTOL = 1e-6
 # Levenberg-Marquardt polish of a Prony start or a stalled swarm's best position
 _LM_STEPS = 100
 _LM_RTOL = 1e-10
+# a loss this far below the target's squared norm (residuals 1e-10 of its
+# norm) is at the central-difference Jacobian's accuracy: steps only creep
+_LM_FLOOR = 1e-20
 _LM_DIFF_STEP = 6e-6  # about eps^(1/3), the central-difference optimum
 _LM_DAMP_START = 1e-3
 _LM_DAMP_MIN = 1e-12
@@ -344,9 +347,10 @@ def _polish(theta, loss, target: CoeffTensor):
     steps are refused, and after a step it follows the ratio of the
     actual to the predicted decrease (Nielsen 1999).  The polish has
     converged when an accepted step lowers the loss by at most
-    ``_LM_RTOL`` relative, or when no damping up to ``_LM_DAMP_MAX``
-    lowers it at all; it gives up, unconverged, after ``_LM_STEPS``
-    steps or on a non-finite Jacobian.
+    ``_LM_RTOL`` relative or to at most ``_LM_FLOOR`` times the target's
+    squared norm, or when no damping up to ``_LM_DAMP_MAX`` lowers it at
+    all; it gives up, unconverged, after ``_LM_STEPS`` steps or on a
+    non-finite Jacobian.
     ``J^T J`` and ``J^T r`` are ``einsum`` sums, not BLAS products, and
     :func:`_spd_solve` is numpy's own loop, so the bits do not depend on
     the BLAS thread count.
@@ -355,6 +359,8 @@ def _polish(theta, loss, target: CoeffTensor):
     gradient ``2 J^T r`` there and whether the stopping test was met.
     """
     p = theta.size
+    a = target.as_float().ravel()
+    floor = _LM_FLOOR * float(np.einsum("b,b->", a, a))
     lam, done = _LM_DAMP_START, False
     for step in range(_LM_STEPS + 1):
         shift = np.diag(_LM_DIFF_STEP * np.maximum(1.0, np.abs(theta)))
@@ -381,7 +387,7 @@ def _polish(theta, loss, target: CoeffTensor):
         else:
             return theta, loss, step, gnorm, True
         gain = (loss - tloss) / float(np.einsum("i,i->", h, lam * h - unit * grad))
-        done = loss - tloss <= _LM_RTOL * loss
+        done = loss - tloss <= _LM_RTOL * loss or tloss <= floor
         theta, loss = trial, tloss
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _LM_DAMP_MIN)
 

@@ -49,7 +49,7 @@ __getattr__ = _from_oracle(__name__, "model_coeffs")
 
 # bound on the whole scratch of one particle block in batch_coeffs (the
 # division's slabs, C and the exponential's arrays), by _plan's count:
-# 220 particles at n = 20 on the (20, 20) box
+# 340 particles at n = 20 on the (20, 20) box
 _KERNEL_BYTES = 8 * 2**20
 
 
@@ -140,17 +140,18 @@ def batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m: Sequence[int]) -> np
     ``C = (d/2) ln 2 + sum_i alpha_i ln rho_i + sum_j -ln(1 - z_j)
     - sum_i alpha_i ln(1 + u_i)``,  ``u_i = 2 sum_j x_ij z_j / (1 - z_j)``.
 
-    Each ``ln(1 + u_i)`` comes from one sparse series division free of
-    cancellation: at ``k`` with first non-zero coordinate ``j`` its
-    coefficient is ``M_k / k_j``, where
-    ``(1 - z_j) R_i M = 2 x_ij z_j prod_{l != j} (1 - z_l)`` and
-    ``R_i = prod_l (1 - z_l) (1 + u_i)`` is multilinear with ``R_i(0) = 1``.
-    The division's stencil reaches two slabs back along axis ``j``, so it
-    keeps a ring of three slabs, and the finished slabs are contracted
-    with ``alpha`` into ``C`` as the ring fills, up to three in one
-    ``einsum``.  Its index bookkeeping is the
-    cached :func:`_plan` of the box, so a call on a small box does array
-    work only.  One power-series exponential (Knuth, TAOCP vol. 2, 4.7)
+    Each ``ln(1 + u_i)`` comes from one sparse series division: at ``k``
+    with first non-zero coordinate ``j`` its coefficient is ``M_k / k_j``,
+    where ``M = N / (1 - z_j)``, ``R_i N = 2 x_ij z_j prod_{l != j} (1 - z_l)``
+    and ``R_i = prod_l (1 - z_l) (1 + u_i)`` is multilinear with
+    ``R_i(0) = 1``; the right-hand side carries the factor ``x_ij``, so
+    tiny scales keep their relative accuracy.  The division's stencil is
+    the monomials of ``R_i``, so it reaches one slab back along axis ``j``
+    and keeps a ring of two slabs; the finished slabs are contracted with
+    ``alpha`` into ``C`` as the ring fills, two in one ``einsum``, and
+    ``M``, the running sum of ``N`` along axis ``j``, is formed once after
+    the contraction.  Its index bookkeeping is the cached :func:`_plan` of
+    the box, so a call on a small box does array work only.  One power-series exponential (Knuth, TAOCP vol. 2, 4.7)
     finishes; its products over the trailing axes are FFT products at the
     smallest length ``2^a 3^b 5^c >= 2 m_j + 1`` per axis, which keeps the
     wrap-around out of the box and pocketfft off its prime-length path.
@@ -190,18 +191,19 @@ def _block_rows(n: int, m: Tuple[int, ...]) -> int:
 class _AxisPlan(NamedTuple):
     """Index plan of the series division along axis ``j``: each slab
     covers the padded trailing axes ``rest``, ``slab`` entries, and the
-    ring holds three slabs, slab ``k_j`` in slot ``(k_j + 1) % 3``."""
+    ring holds two slabs, slab ``k_j`` in slot ``(k_j + 1) % 2``."""
 
     j: int
     rest: Tuple[int, ...]
     slab: int
-    terms: tuple  # (t_j, S) per stencil term, t_j its reach along axis j
+    terms: tuple  # S per stencil term, the monomial of R it multiplies
     offsets: tuple  # per slot, how far back in the ring each term reads
     entries: tuple  # per slot, the ring positions of the slab's box entries
     init: tuple  # (ring position, factor of 2 x_j) of the k_j = 1 right-hand side
-    contract: dict  # k_j -> (slots' box entries, C's entries, their k_j) of a slab group
+    contract: dict  # k_j -> (slots' box entries, C's entries) of a slab group
+    c_own: tuple  # C's entries whose first non-zero coordinate is j
+    kj: np.ndarray  # k_j on those entries
     c_axis: tuple  # C's entries on axis j past the origin
-    recip: np.ndarray  # 1 / k_j on those entries
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,12 +213,12 @@ def _plan(m: Tuple[int, ...]):
     :class:`_AxisPlan` of every axis with ``m_j > 0``, and a bound on a
     block's scratch per particle in doubles, the larger of its two
     phases.  The division holds ``C`` (``division`` doubles) and
-    ``per_atom`` doubles per atom: the ring of three slabs, then ``R``
-    with its temporaries, the stencil's coefficients and a product,
-    ``2^{d+1} + 3 2^{d-1} + 2``.  The exponential holds ``exponential``
-    doubles: ``C``, its weighted copy, and four arrays the size of a
-    spectrum over the trailing axes at their transform lengths
-    ``_fft_len(2 m_l + 1)``: the two spectra and the FFTs' transients."""
+    ``per_atom`` doubles per atom: the ring of two slabs, then ``R``
+    and three temporaries, ``2^d + 3``.  The exponential holds
+    ``exponential`` doubles: ``C``, its weighted copy, the two spectra
+    over the trailing axes at their transform lengths
+    ``_fft_len(2 m_l + 1)``, and at each ``k_0`` the transients of one
+    slice, at most four times the slice of a spectrum and of the box."""
     d = len(m)
     shape = box_shape(m)
     axes = []
@@ -224,41 +226,38 @@ def _plan(m: Tuple[int, ...]):
         rest = tuple(v + 1 for v in shape[j + 1 :])
         slab = math.prod(rest)
         strides = [math.prod(rest[i + 1 :]) for i in range(len(rest))]
-        terms, reach = [], []
-        for t in itertools.product((0, 1, 2), *[(0, 1)] * (d - j - 1)):
-            if any(t):
-                terms.append((t[0], (0,) * j + tuple(min(v, 1) for v in t)))
-                reach.append((t[0], sum(a * b for a, b in zip(t[1:], strides))))
+        terms = [t for t in itertools.product((0, 1), repeat=d - j) if any(t)]
+        reach = [sum(a * b for a, b in zip(t[1:], strides)) for t in terms]
         inner = (slice(1, None),) * len(rest)
-        # a slab group is contracted when the ring holds slabs k_j - 2 .. k_j
+        # a slab group is contracted when the ring holds slabs k_j - 1, k_j
         # in slot order, and at the last slab
-        ends = [k for k in range(1, m[j] + 1) if k % 3 == 1 or k == m[j]]
+        ends = [k for k in range(1, m[j] + 1) if k % 2 == 0 or k == m[j]]
         box = np.arange(slab).reshape(rest)[inner].ravel().tolist()
         axes.append(_AxisPlan(
             j=j,
             rest=rest,
             slab=slab,
-            terms=tuple(terms),
-            offsets=tuple(tuple((s - (s - t) % 3) * slab + off for t, off in reach)
-                          for s in range(3)),
-            entries=tuple(tuple(s * slab + q for q in box) for s in range(3)),
-            init=tuple((2 * slab + sum((v + 1) * b for v, b in zip(tail, strides)),
+            terms=tuple((0,) * j + t for t in terms),
+            offsets=tuple(tuple((s - (s - t[0]) % 2) * slab + off for t, off in zip(terms, reach))
+                          for s in range(2)),
+            entries=tuple(tuple(s * slab + q for q in box) for s in range(2)),
+            init=tuple((sum((v + 1) * b for v, b in zip(tail, strides)),
                         (-1.0) ** sum(tail) * 2.0)
                        for tail in itertools.product(*(range(min(v, 2)) for v in shape[j + 1 :]))),
             contract={
-                k: ((slice((lo + 1) % 3, (k + 1) % 3 + 1),) + inner,
-                    (slice(None),) + (0,) * j + (slice(lo, k + 1),),
-                    np.arange(lo, k + 1).reshape((-1,) + (1,) * len(rest)))
+                k: ((slice((lo + 1) % 2, (k + 1) % 2 + 1),) + inner,
+                    (slice(None),) + (0,) * j + (slice(lo, k + 1),))
                 for lo, k in zip([1] + [k + 1 for k in ends[:-1]], ends)
             },
+            c_own=(slice(None),) + (0,) * j + (slice(1, None),),
+            kj=np.arange(1, shape[j], dtype=float).reshape((-1,) + (1,) * len(rest)),
             c_axis=(slice(None),) + (0,) * j + (slice(1, None),) + (0,) * (d - j - 1),
-            recip=1.0 / np.arange(1, shape[j]),
         ))
     B = math.prod(shape)
-    per_atom = max((3 * ax.slab for ax in axes), default=0) + 2 ** (d + 1) + 3 * 2 ** (d - 1) + 2
+    per_atom = max((2 * ax.slab for ax in axes), default=0) + 2 ** d + 3
     lengths = [_fft_len(2 * r - 1) for r in shape[1:]] or [1]
     spectrum = 2 * shape[0] * math.prod(lengths[:-1]) * (lengths[-1] // 2 + 1)
-    return shape, tuple(axes), per_atom, B, 2 * B + 4 * spectrum
+    return shape, tuple(axes), per_atom, B, 2 * B + 2 * spectrum + 4 * (spectrum + B) // shape[0]
 
 
 def _log_series(alpha: np.ndarray, simplex: np.ndarray, shape: Tuple[int, ...],
@@ -281,33 +280,34 @@ def _log_series(alpha: np.ndarray, simplex: np.ndarray, shape: Tuple[int, ...],
 
 
 def _divide(ax: _AxisPlan, R: dict, xj: np.ndarray, alpha: np.ndarray, C: np.ndarray):
-    """The series division along axis ``ax.j``: subtracts each ``M_k / k_j``,
-    contracted with ``alpha``, from ``C`` and adds ``1 / k_j`` on the axis."""
-    j = ax.j
-    # slabs k_j - 2 .. k_j of M over the entries with z_{<j} = 0, padded by
+    """The series division along axis ``ax.j``: writes each ``-M_k / k_j``,
+    contracted with ``alpha``, into ``C`` and adds ``1 / k_j`` on the axis."""
+    # slabs k_j - 1, k_j of N over the entries with z_{<j} = 0, padded by
     # one zero slot in front of every trailing axis so the recurrence reads
-    # zeros outside the box; slab k_j = 0 and the slab before it are zero
-    ring = np.zeros((3 * ax.slab,) + xj.shape)
-    slots = ring.reshape((3,) + ax.rest + xj.shape)
-    coefs = [R[S] if t == 0 else R[S] - R[S[:j] + (0,) + S[j + 1 :]] if t == 1 else -R[S]
-             for t, S in ax.terms]  # of (1 - z_j) R_i
-    stencils = [list(zip(offsets, coefs)) for offsets in ax.offsets]
+    # zeros outside the box; slab k_j = 0 is zero
+    ring = np.zeros((2 * ax.slab,) + xj.shape)
+    slots = ring.reshape((2,) + ax.rest + xj.shape)
+    stencils = [list(zip(offsets, [R[S] for S in ax.terms])) for offsets in ax.offsets]
     for q, f in ax.init:
         ring[q] = f * xj
-    for k in range(1, len(ax.recip) + 1):
-        s = (k + 1) % 3
+    for k in range(1, len(ax.kj) + 1):
+        s = (k + 1) % 2
         (off0, c0), *stencil = stencils[s]
         for q in ax.entries[s]:
-            # past k_j = 1 the entry starts from zero, whatever slab k_j - 3
+            # past k_j = 1 the entry starts from zero, whatever slab k_j - 2
             # left in its slot
             acc = ring[q]
             np.subtract(acc if k == 1 else 0.0, c0 * ring[q - off0], out=acc)
             for off, c in stencil:
                 acc -= c * ring[q - off]
         if k in ax.contract:
-            done, c_group, kj = ax.contract[k]
-            C[c_group] -= np.einsum("...pn,pn->p...", slots[done], alpha) / kj
-    C[ax.c_axis] += ax.recip
+            done, c_group = ax.contract[k]
+            C[c_group] = np.einsum("...pn,pn->p...", slots[done], alpha)
+    # M = N / (1 - z_j) is the running sum of N along axis j
+    own = C[ax.c_own]
+    np.cumsum(own, axis=1, out=own)
+    np.divide(own, -ax.kj, out=own)
+    C[ax.c_axis] += 1.0 / ax.kj.ravel()
 
 
 def _series_exp(C: np.ndarray, E: np.ndarray = None) -> np.ndarray:

@@ -166,7 +166,9 @@ def _rank_below(stack: np.ndarray, r: int) -> np.ndarray:
 
 
 def _svd_rank_below(stack: np.ndarray, r: int) -> np.ndarray:
-    """The rank rule of :func:`_rank_below` by the singular values."""
+    """The rank rule of :func:`_rank_below` by the singular values, with
+    the same verdicts; single matrices come here directly, as the screen
+    costs more than it saves when there is nothing to batch."""
     sv = np.linalg.svd(stack, compute_uv=False)
     if sv.shape[-1] < r:
         return np.ones(stack.shape[0], dtype=bool)
@@ -181,7 +183,7 @@ def _subset_geometry(rows: np.ndarray):
     ``rows @ t = 1`` when every row passes the membership rule of
     :func:`_on_hyperplane`, else None.
     """
-    if _rank_below(rows[None], rows.shape[1])[0]:
+    if _svd_rank_below(rows[None], rows.shape[1])[0]:
         return False, None
     t, *_ = np.linalg.lstsq(rows, np.ones(rows.shape[0]), rcond=None)
     return True, (t if _on_hyperplane(rows, t).all() else None)
@@ -248,7 +250,7 @@ def _majority_eps(alpha: np.ndarray, scales: np.ndarray) -> Tuple[float, Optiona
     """
     n, d = scales.shape
     total = alpha.sum()
-    if _rank_below(scales[None], d)[0]:
+    if _svd_rank_below(scales[None], d)[0]:
         return 0.0, f"rank-deficient majority subset {tuple(range(n))}"
     size = max(1, _SEARCH_BYTES // (8 * n * d * d))
     for bases in _combination_chunks(n, d - 1, max(1, size // 64), size):
@@ -344,7 +346,7 @@ def classify_dependence(model: GgcModel) -> DependenceReport:
             if free[j]:  # a new ray; inside[j] holds j itself
                 rays += 1
                 free &= ~inside
-    singular = bool(_rank_below(scales[None], d)[0])
+    singular = bool(_svd_rank_below(scales[None], d)[0])
     if np.all((scales > 0).sum(axis=1) == 1):
         kind = "independent"
     elif rays == 1:

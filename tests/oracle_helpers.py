@@ -154,10 +154,10 @@ def full_matrix_empirical_coeffs(xs: np.ndarray, m) -> np.ndarray:
 
 
 def full_box_batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m) -> np.ndarray:
-    """``ggc.batch_coeffs`` in one block, with the series division over
-    the whole zero-padded box of every axis and one contraction with
-    ``alpha`` per axis; the exponential is ``ggc._series_exp``.  The
-    three-slab kernel must agree bit for bit."""
+    """``ggc.batch_coeffs`` in one block, with the series division by
+    ``R`` over the whole zero-padded box of every axis, one contraction
+    with ``alpha`` and one running sum per axis; the exponential is
+    ``ggc._series_exp``.  The two-slab kernel must agree bit for bit."""
     P, n, d = simplex.shape[0], simplex.shape[1], simplex.shape[2] - 1
     x, rho = simplex[:, :, :d], simplex[:, :, d]
     shape = box_shape(m)
@@ -168,31 +168,24 @@ def full_box_batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m) -> np.ndarr
     C = np.zeros((P,) + shape)
     for j in (j for j in range(d) if m[j]):
         sub = shape[j:]
-        M = np.zeros(tuple(v + 1 for v in sub) + (P, n))
-        Mf = M.reshape(-1, P, n)
+        # N = 2 x_j z_j prod_{l > j} (1 - z_l) / R on k_j = 0..m_j, the
+        # trailing axes padded by one zero slot in front
+        N = np.zeros((sub[0],) + tuple(v + 1 for v in sub[1:]) + (P, n))
+        Nf = N.reshape(-1, P, n)
         strides = [math.prod(v + 1 for v in sub[i + 1 :]) for i in range(len(sub))]
-        stencil = []
-        for t in itertools.product((0, 1, 2), *[(0, 1)] * (d - j - 1)):
-            S = (0,) * j + tuple(min(v, 1) for v in t)
-            if t[0] == 0:
-                c = R[S]
-            elif t[0] == 1:
-                c = R[S] - R[S[:j] + (0,) + S[j + 1 :]]
-            else:
-                c = -R[S]
-            if any(t):
-                stencil.append((sum(a * b for a, b in zip(t, strides)), c))
+        stencil = [(sum(a * b for a, b in zip(t, strides)), R[(0,) * j + t])
+                   for t in itertools.product((0, 1), repeat=d - j) if any(t)]
         for tail in itertools.product(*(range(min(v, 2)) for v in sub[1:])):
-            M[(2,) + tuple(v + 1 for v in tail)] = (-1.0) ** sum(tail) * 2.0 * x[:, :, j]
-        inner = (slice(2, None),) + (slice(1, None),) * (len(sub) - 1)
-        for q in np.arange(len(Mf)).reshape(M.shape[:-2])[inner].ravel().tolist():
-            acc = Mf[q]
+            N[(1,) + tuple(v + 1 for v in tail)] = (-1.0) ** sum(tail) * 2.0 * x[:, :, j]
+        inner = (slice(1, None),) * len(sub)
+        for q in np.arange(len(Nf)).reshape(N.shape[:-2])[inner].ravel().tolist():
+            acc = Nf[q]
             for off, c in stencil:
-                acc -= c * Mf[q - off]
-        kj = np.arange(1, sub[0]).reshape((-1,) + (1,) * (len(sub) - 1))
-        C[(slice(None),) + (0,) * j + (slice(1, None),)] -= (
-            np.einsum("...pn,pn->p...", M[inner], alpha) / kj
-        )
+                acc -= c * Nf[q - off]
+        kj = np.arange(1, sub[0], dtype=float).reshape((-1,) + (1,) * (len(sub) - 1))
+        # M = N / (1 - z_j), the running sum along axis j
+        M = np.cumsum(np.einsum("...pn,pn->p...", N[inner], alpha), axis=1)
+        C[(slice(None),) + (0,) * j + (slice(1, None),)] = M / -kj
         C[(slice(None),) + (0,) * j + (slice(1, None),) + (0,) * (d - j - 1)] += (
             1.0 / np.arange(1, shape[j])
         )

@@ -17,6 +17,7 @@ from thorin.estimator import (
     _fitted_model,
     _losses,
     _polish,
+    _prony_starts,
     _pso_once,
     _spd_solve,
     default_box,
@@ -346,6 +347,18 @@ class TestPolish:
         got = _fitted_model(alpha[0], simplex[0])
         np.testing.assert_allclose(got.alpha, model.alpha, rtol=1e-6)
         np.testing.assert_allclose(got.scales, model.scales, rtol=1e-6)
+
+    def test_stops_at_rounding_level(self):
+        # an exact 4-atom target whose Prony start is already near rounding
+        # level: the relative gain test alone let it creep to the step cap
+        model = GgcModel([0.5368, 2.6591, 2.9530, 2.8930], [[0.1984], [4.4131], [6.0238], [8.8157]])
+        target = float_coeffs(model, (8,))
+        k, theta = _prony_starts(target.as_float(), 4)[0]
+        start = float(_losses(theta[None, :], target)[0])
+        assert k == 4 and start < 1e-18
+        _, loss, steps, _, converged = _polish(theta, start, target)
+        assert converged and steps <= 10
+        assert loss <= start and loss <= 1e-20 * float((target.as_float() ** 2).sum())
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("case", ["weibull", "bivariate"])

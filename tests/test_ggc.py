@@ -389,6 +389,33 @@ class TestBatchCoeffs:
                 simplex = np.append(row, 1.0) / (1.0 + row.sum())
                 assert self.max_error(np.array([[a]]), simplex[None, None], m) <= 1e-13
 
+    T, H = 1e-12, 1e12
+
+    @pytest.mark.parametrize("m, alpha, scales", [
+        ((8, 8), (0.01, 0.02, 100.0, 1.0), ((T, H), (H, T), (T, T), (T, 1.0))),
+        ((8, 8), (0.05, 50.0, 0.01, 0.03), ((H, H), (T, T), (T, H), (H, T))),
+        ((8, 8), (0.01, 3.0, 20.0), ((H, T), (T, T), (T, 1e-6))),
+        ((3, 3, 3), (0.01, 0.02, 0.03, 100.0), ((T, H, T), (H, T, T), (T, T, H), (T, T, T))),
+        ((3, 3, 3), (0.05, 0.01, 50.0, 1.0), ((H, H, T), (T, H, H), (T, T, T), (T, 1.0, T))),
+        ((3, 3, 3), (0.02, 10.0, 0.01), ((H, T, H), (T, T, T), (T, H, T))),
+    ])
+    def test_multi_atom_extremes(self, m, alpha, scales):
+        # rows mixing 1e-12 and 1e12 put x_ij near 0 and 1 in one atom;
+        # the atoms with the large scales carry small shapes, so the
+        # coefficients stay of order one
+        alpha, scales = np.array(alpha), np.array(scales)
+        simplex = np.hstack([scales, np.ones((len(alpha), 1))]) / (1.0 + scales.sum(axis=1)[:, None])
+        assert self.max_error(alpha[None], simplex[None], m) <= 1e-13
+
+    @pytest.mark.parametrize("m, counts", [((4, 4), [3, 1]), ((3, 3, 3), [7, 3, 1])])
+    def test_stencil_is_the_monomials_of_R(self, m, counts):
+        # every multilinear monomial z^S with S != 0 on the axes from j on
+        axes = _plan(m)[1]
+        assert [len(ax.terms) for ax in axes] == counts
+        for ax in axes:
+            assert all(not any(S[: ax.j]) and any(S) and set(S) <= {0, 1} for S in ax.terms)
+            assert len(set(ax.terms)) == len(ax.terms)
+
     def test_shape_checks(self):
         with pytest.raises(ValueError):
             batch_coeffs(np.ones((1, 1)), np.full((1, 1, 3), 1 / 3), (4,))
@@ -425,9 +452,9 @@ class TestKernelBlocks:
 
     def test_blocks_equal_one_call_per_particle(self):
         m = (20, 20)
-        alpha, simplex = swarm_particles(500, 20, m)
-        assert 500 > 2 * _block_rows(20, m)  # three blocks at least
-        single = [batch_coeffs(alpha[p : p + 1], simplex[p : p + 1], m) for p in range(500)]
+        alpha, simplex = swarm_particles(700, 20, m)
+        assert 700 > 2 * _block_rows(20, m)  # three blocks at least
+        single = [batch_coeffs(alpha[p : p + 1], simplex[p : p + 1], m) for p in range(700)]
         assert batch_coeffs(alpha, simplex, m).tobytes() == np.concatenate(single).tobytes()
 
     def test_bits_do_not_depend_on_blas_threads(self):
@@ -466,7 +493,7 @@ class TestKernelBlocks:
 
 
 class TestKernelOracle:
-    """The three-slab kernel against the full-box kernel it replaced,
+    """The two-slab kernel against the same division over the whole box,
     byte for byte."""
 
     @pytest.mark.parametrize("m, n, P", [

@@ -431,10 +431,11 @@ class TestChunkedSearch:
         monkeypatch.setattr(wellbehaved, "_rank_below",
                             lambda stack, r: calls.append(len(stack)) or rank_below(stack, r))
         eps, witness = wellbehaved._majority_eps(alpha, scales)
-        # the span of all atoms, then one chunk, 64 times smaller than
-        # the later ones: its bases and their stacks
-        assert len(calls) == 3 and calls[2] == 40 * calls[1]
-        assert calls[1] == wellbehaved._SEARCH_BYTES // (8 * 40 * 9) // 64
+        # one chunk, 64 times smaller than the later ones: its bases and
+        # their stacks (the span of all atoms is one matrix, decided by
+        # the SVD alone)
+        assert len(calls) == 2 and calls[1] == 40 * calls[0]
+        assert calls[0] == wellbehaved._SEARCH_BYTES // (8 * 40 * 9) // 64
         assert (eps, witness) == (0.0, "rank-deficient majority subset (0, 1)")
         monkeypatch.undo()
         assert_same_search(alpha, scales)
