@@ -51,6 +51,7 @@ __getattr__ = _from_oracle(__name__, "model_coeffs")
 # division's slabs, C and the exponential's arrays), by _plan's count:
 # 340 particles at n = 20 on the (20, 20) box
 _KERNEL_BYTES = 8 * 2**20
+_ITER_BYTES = 3 * 8 * 8192  # the division's fixed scratch: numpy's iterator buffers
 
 
 @dataclass
@@ -175,17 +176,19 @@ def batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m: Sequence[int]) -> np
     shape, axes = _plan(m)[:2]
     rows = _block_rows(n, m)
     for i in range(0, P, rows):
-        C = _log_series(alpha[i : i + rows], simplex[i : i + rows], shape, axes)
-        _series_exp(C, out[i : i + rows].reshape(C.shape))
+        # no name holds C, so a block's C is gone before the next division
+        _series_exp(_log_series(alpha[i : i + rows], simplex[i : i + rows], shape, axes),
+                    out[i : i + rows].reshape((-1,) + shape))
     return out
 
 
 def _block_rows(n: int, m: Tuple[int, ...]) -> int:
     """Particles per block of :func:`batch_coeffs` with ``n`` atoms on
     the box ``m``: as many as fit ``_KERNEL_BYTES`` at the block's bytes
-    per particle, counted in :func:`_plan`, and at least one."""
+    per particle, counted in :func:`_plan`, beside ``_ITER_BYTES``, and at least one."""
     per_atom, division, exponential = _plan(m)[2:]
-    return max(1, _KERNEL_BYTES // (8 * max(division + n * per_atom, exponential)))
+    return max(1, min((_KERNEL_BYTES - _ITER_BYTES) // (8 * (division + n * per_atom)),
+                      _KERNEL_BYTES // (8 * exponential)))
 
 
 class _AxisPlan(NamedTuple):

@@ -4,8 +4,8 @@ The univariate basis functions are ``phi_k(x) = sqrt(2) e^{-x} L_k(2x)``
 with ``L_k`` the Laguerre polynomials; the d-variate basis is their
 tensor product.  This module evaluates the basis and maps each way
 between points and coefficients by one contraction of the per-axis basis
-matrices ``phi_univariate(m_j, x[:, j])``: over the sample axis for the
-empirical coefficients, whose first axis is streamed one row at a time,
+matrices ``phi_univariate(m_j, x[:, j])``: over the sample axis, one
+fixed-size chunk of samples at a time, for the empirical coefficients,
 over the index axes for the truncated density.
 """
 
@@ -35,6 +35,9 @@ __getattr__ = _from_oracle(__name__, "coeffs_from_moments")
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
 _X_PLAIN = 700.0
+# samples per chunk of empirical_coeffs: 1.4 MB of basis matrices on the
+# (20, 20) box
+_CHUNK = 4096
 
 
 @dataclass
@@ -87,73 +90,72 @@ def validate_samples(samples) -> np.ndarray:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError("samples must be an N x d matrix with N >= 1")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim != 2 or arr.size < 1:
+        raise ValueError("samples must be an N x d matrix with N, d >= 1")
+    # min or max is not finite exactly when an entry is not: no N x d temporary
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError("samples contain non-finite entries")
-    if np.any(arr < 0):
+    if arr.min() < 0:
         i, j = np.argwhere(arr < 0)[0]
         raise ValueError(f"negative sample entry at row {i}, column {j}")
     return arr
 
 
 def phi_univariate(kmax: int, xs: np.ndarray) -> np.ndarray:
-    """Matrix ``phi_k(x)`` for ``k = 0..kmax``, shape ``(kmax+1, len(xs))``,
-    filled row by row from :func:`_phi_rows`."""
+    """Matrix ``phi_k(x)`` for ``k = 0..kmax``, shape ``(kmax+1, len(xs))``.
+
+    Uses the stable three-term recurrence for Laguerre polynomials in the
+    variable ``2x``, row by row in place (:func:`_laguerre_row`), and
+    scales the rows by ``sqrt(2) e^{-x}`` at the end; the defining
+    binomial sum cancels catastrophically for large ``k`` and is kept only
+    as a test oracle.  Since ``|L_k(2x)| <= e^x`` (Szegő), neither
+    ``L_k(2x)`` nor ``e^{-x}`` leaves the normal range up to
+    ``x = _X_PLAIN``; beyond it the columns come from :func:`_phi_far`.
+    """
     xs = np.asarray(xs, dtype=float)
     out = np.empty((kmax + 1, xs.size))
-    for k, row in enumerate(_phi_rows(kmax, xs)):
-        out[k] = row
+    far = xs > _X_PLAIN
+    if far.any():
+        out[:, ~far] = phi_univariate(kmax, xs[~far])
+        out[:, far] = _phi_far(kmax, xs[far])
+        return out
+    x2 = 2.0 * xs
+    out[0] = 1.0
+    for k in range(1, kmax + 1):
+        _laguerre_row(out, k, x2)
+    out *= _SQRT2 * np.exp(-xs)
     return out
 
 
-def _phi_rows(kmax: int, xs: np.ndarray):
-    """The rows ``phi_0(xs), ..., phi_kmax(xs)``, one degree at a time.
-
-    Uses the stable three-term recurrence for Laguerre polynomials in the
-    variable ``2x``; the defining binomial sum cancels catastrophically
-    for large ``k`` and is kept only as a test oracle.  Since
-    ``|L_k(2x)| <= e^x`` (Szegő), neither ``L_k(2x)`` nor ``e^{-x}``
-    leaves the normal range up to ``x = _X_PLAIN``; beyond it the columns
-    go through :func:`_phi_far` and are spliced into each row.  A few
-    ``len(xs)``-vectors are live at a time, and the yielded row is
-    overwritten by the next one, so a caller uses it before asking for
-    the next.
-    """
-    far = xs > _X_PLAIN
-    if far.any():
-        near, far = np.flatnonzero(~far), np.flatnonzero(far)
-        row = np.empty(xs.size)
-        for plain, tiny in zip(_phi_rows(kmax, xs[near]), _phi_far(kmax, xs[far])):
-            row[near], row[far] = plain, tiny
-            yield row
-        return
-    weight = _SQRT2 * np.exp(-xs)
-    L0 = np.ones(xs.size)
-    yield L0 * weight
-    if kmax >= 1:
-        x2 = 2.0 * xs
-        L1 = 1.0 - x2
-        yield L1 * weight
-        for k in range(1, kmax):
-            L0, L1 = L1, ((2.0 * k + 1.0 - x2) * L1 - k * L0) / (k + 1.0)
-            yield L1 * weight
+def _laguerre_row(out: np.ndarray, k: int, x2: np.ndarray, prev: np.ndarray = None):
+    """Row ``k >= 1`` of ``out`` from its rows ``k - 1`` and ``k - 2``, or
+    ``prev`` in place of the latter: ``L_1 = 1 - 2x`` and
+    ``k L_k = (2k - 1 - 2x) L_{k-1} - (k - 1) L_{k-2}``."""
+    row = out[k]
+    np.subtract(2.0 * k - 1.0, x2, out=row)
+    if k > 1:
+        row *= out[k - 1]
+        row -= (k - 1) * (out[k - 2] if prev is None else prev)
+        row /= k
 
 
-def _phi_far(kmax: int, xs: np.ndarray):
-    """The rows ``phi_k(x)`` for ``x > _X_PLAIN``, where ``L_k(2x)`` may
+def _phi_far(kmax: int, xs: np.ndarray) -> np.ndarray:
+    """The matrix ``phi_k(x)`` for ``x > _X_PLAIN``, where ``L_k(2x)`` may
     overflow and ``e^{-x}`` underflows.  The recurrence carries
     ``L_k(2x) 2^{-E_k}`` with the mantissa renormalized at every step, and
     ``2^{E_k} e^{-x}`` is formed as one exponential, so the tiny values
     come out true (or as zero once they underflow) instead of ``inf * 0``."""
-    L0, L1, e = np.ones(xs.size), 1.0 - 2.0 * xs, np.zeros(xs.size)
-    yield _SQRT2 * L0 * np.exp(e * _LN2 - xs)
+    x2 = 2.0 * xs
+    out, expo = np.empty((kmax + 1, xs.size)), np.zeros((kmax + 1, xs.size))
+    out[0], prev = 1.0, None
     for k in range(1, kmax + 1):
-        L1, shift = np.frexp(L1)
-        L0 = np.ldexp(L0, -shift)
-        e = e + shift
-        yield _SQRT2 * L1 * np.exp(e * _LN2 - xs)
-        L0, L1 = L1, ((2.0 * k + 1.0 - 2.0 * xs) * L1 - k * L0) / (k + 1.0)
+        _laguerre_row(out, k, x2, prev)
+        out[k], shift = np.frexp(out[k])
+        expo[k] = expo[k - 1] + shift
+        prev = np.ldexp(out[k - 1], -shift)
+    out *= _SQRT2
+    out *= np.exp(expo * _LN2 - xs)
+    return out
 
 
 def phi(k: Sequence[int], x) -> float:
@@ -176,35 +178,27 @@ def phi(k: Sequence[int], x) -> float:
 def empirical_coeffs(samples, m: Sequence[int]) -> CoeffTensor:
     """Monte-Carlo coefficients ``a_k = mean_i phi_k(X_i)`` over the box.
 
-    One ``einsum`` over the sample axis, in numpy's own summation loop
-    (no BLAS), so the bits do not depend on the thread count.  Its
-    rounding error, at most about ``N u`` times the mean of
-    ``|phi_k(X_i)|``, lies far below the sampling error.
-
-    The basis of axis 0 is streamed: each row ``phi_b(x_0)`` from
-    :func:`_phi_rows` is contracted with the basis matrices of the other
-    axes by the same ``einsum`` restricted to that row, which gives the
-    same bits.  Besides the samples, the memory is then the matrices of
-    axes ``1..d-1``, ``(m_j + 1) N`` doubles each, and a few
-    ``N``-vectors: one matrix at ``d = 2``.  Where a row would contract
-    to a single sum (``d = 1``, or ``m_j = 0`` for every ``j >= 1``),
-    axis 0 stays one matrix, since beyond 8192 samples numpy's buffered
-    reduction of a single row sums in another order.
+    The samples go through in chunks of ``_CHUNK`` rows.  The basis
+    matrices ``phi_univariate(m_j, x_j)`` of a chunk are contracted over
+    its sample axis by one ``einsum``, in numpy's own summation loop (no
+    BLAS), so the bits do not depend on the thread count; the chunk sums
+    add up in the tensor, divided by ``N`` at the end.  Besides the
+    samples, the memory is one chunk's matrices, ``(m_j + 1) _CHUNK``
+    doubles per axis, whatever ``N`` is.  The rounding error, at most
+    about ``(_CHUNK + N / _CHUNK) u`` times the mean of ``|phi_k(X_i)|``,
+    lies far below the sampling error.
     """
     arr = validate_samples(samples)
     m = tuple(int(v) for v in m)
     d = len(m)
     if arr.shape[1] != d:
         raise ValueError(f"samples have dimension {arr.shape[1]}, box has {d}")
-    ops = [x for j in range(1, d) for x in (phi_univariate(m[j], arr[:, j]), [j, d])]
-    if not any(m[1:]):
-        a = np.einsum(phi_univariate(m[0], arr[:, 0]), [0, d], *ops, list(range(d)))
-        return CoeffTensor(m, a / arr.shape[0])
-    a = np.empty(box_shape(m))
-    for b, row in enumerate(_phi_rows(m[0], arr[:, 0])):
-        a[b] = np.einsum(row, [d], *ops, list(range(1, d)))
-    a /= arr.shape[0]
-    return CoeffTensor(m, a)
+    a = np.zeros(box_shape(m))
+    for i in range(0, arr.shape[0], _CHUNK):
+        x = arr[i : i + _CHUNK]
+        a += np.einsum(*[v for j in range(d) for v in (phi_univariate(m[j], x[:, j]), [j, d])],
+                       list(range(d)))
+    return CoeffTensor(m, a / arr.shape[0])
 
 
 def density_grid(coeffs: CoeffTensor, pts) -> np.ndarray:

@@ -113,7 +113,8 @@ def matrix_phi_univariate(kmax: int, xs) -> np.ndarray:
     """``phi_k(x)`` for ``k = 0..kmax`` as one matrix: the three-term
     recurrence on whole rows, scaled by ``sqrt(2) e^{-x}`` at the end, and
     the renormalized recurrence of ``laguerre._phi_far`` beyond ``x = 700``.
-    The row generator behind ``phi_univariate`` must agree bit for bit."""
+    ``phi_univariate``, which fills its rows in place, must agree bit for
+    bit."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty((kmax + 1, xs.size))
     far = xs > 700.0
@@ -144,13 +145,18 @@ def matrix_phi_univariate(kmax: int, xs) -> np.ndarray:
     return out
 
 
-def full_matrix_empirical_coeffs(xs: np.ndarray, m) -> np.ndarray:
-    """Empirical coefficients as one ``einsum`` of all the per-axis basis
-    matrices over the sample axis, divided by N.  The streamed
-    contraction of ``laguerre.empirical_coeffs`` must agree bit for bit."""
-    d = len(m)
-    ops = [x for j, mj in enumerate(m) for x in (matrix_phi_univariate(mj, xs[:, j]), [j, d])]
-    return np.einsum(*ops, list(range(d))) / xs.shape[0]
+def fsum_empirical_coeffs(xs: np.ndarray, m) -> np.ndarray:
+    """Empirical coefficients by exact summation: ``math.fsum`` over the
+    samples of the products of ``matrix_phi_univariate``'s rows, divided
+    by N, one index ``(k_0, ..., k_{d-2})`` at a time."""
+    mats = [matrix_phi_univariate(mj, xs[:, j]) for j, mj in enumerate(m)]
+    out = np.empty(box_shape(m))
+    for k in np.ndindex(out.shape[:-1]):
+        terms = mats[-1].copy()
+        for j, kj in enumerate(k):
+            terms *= mats[j][kj]
+        out[k] = [math.fsum(row.tolist()) / xs.shape[0] for row in terms]
+    return out
 
 
 def full_box_batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m) -> np.ndarray:

@@ -80,6 +80,17 @@ class TestFit:
         rc = main(["fit", "--input", str(gamma_csv), "--output", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("columns, box", [(1, "3,3"), (2, "3"), (2, "3,3,3")])
+    def test_box_of_another_dimension_is_data_error(self, tmp_path, capsys, columns, box):
+        path = tmp_path / "data.csv"
+        path.write_text("".join(",".join(["0.5"] * columns) + "\n" for _ in range(3)))
+        out = tmp_path / "o"
+        rc = main(["fit", "--input", str(path), "--output", str(out), "--n", "1", "--m", box])
+        assert rc == EXIT_DATA
+        dims = f"samples have dimension {columns}, box has {box.count(',') + 1}"
+        assert dims in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bivariate_csv(self, tmp_path):
         xs = sample(GgcModel([1.0, 1.5], [[1.0, 0.0], [0.5, 2.0]]), 5000, seed=23)
         path = tmp_path / "biv.csv"

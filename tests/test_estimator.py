@@ -185,9 +185,9 @@ class TestFitEmpirical:
         assert rep.model.n == 2
 
     def test_memory_is_bounded(self):
-        # 2e4 bivariate rows: the streamed basis (one 3.4 MB matrix) stays
-        # below the kernel's bounded scratch, which adds the 1.1 MB of
-        # 300 coefficient rows and the swarm's arrays (a few 0.2 MB)
+        # 2e4 bivariate rows: the chunked basis (1.4 MB, one chunk's two
+        # matrices) stays below the kernel's bounded scratch, which adds the
+        # 1.1 MB of 300 coefficient rows and the swarm's arrays (a few 0.2 MB)
         xs = np.random.default_rng(4).gamma(2.0, 1.0, (20_000, 2))
         cfg = FitConfig(n=20, m=(20, 20), swarm_size=300, max_iters=1, restarts=1, seed=1)
         tracemalloc.start()

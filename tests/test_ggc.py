@@ -439,12 +439,17 @@ class TestKernelBlocks:
             tracemalloc.stop()
         assert peak < 2 * _KERNEL_BYTES + out.nbytes
 
-    def test_scratch_fits_the_kernel_budget(self):
+    @pytest.mark.parametrize("P, n, m", [
+        (1000, 20, (20, 20)),  # the exponential binds the block size
+        (400, 100, (20, 20)),  # the division binds, over several blocks
+        (300, 60, (6, 6, 6)),
+    ])
+    def test_scratch_fits_the_kernel_budget(self, P, n, m):
         # the slabs, C and the exponential's arrays of one block, together
-        alpha, simplex = swarm_particles(1000, 20, (20, 20))
+        alpha, simplex = swarm_particles(P, n, m)
         tracemalloc.start()
         try:
-            out = batch_coeffs(alpha, simplex, (20, 20))
+            out = batch_coeffs(alpha, simplex, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracle_helpers import full_matrix_empirical_coeffs, matrix_phi_univariate, stdout_per_blas_threads
+from oracle_helpers import fsum_empirical_coeffs, matrix_phi_univariate, stdout_per_blas_threads
 from thorin.ggc import GgcModel
 from thorin.laguerre import (
+    _CHUNK,
     CoeffTensor,
     density_grid,
     empirical_coeffs,
@@ -170,15 +171,13 @@ class TestEmpiricalCoeffs:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sum_matches_fsum(self, d):
-        # plain summation over 1e5 samples stays within 1e-14 of exact
-        # summation, below the ~1e-14 accuracy of the model kernel
+        # chunked summation over ~1e5 samples, 25 whole chunks and one
+        # sample more, stays within 1e-14 of exact summation, below the
+        # ~1e-14 accuracy of the model kernel
         rng = np.random.default_rng(8)
-        xs = rng.exponential(1.0, (100_000, d))
+        xs = rng.exponential(1.0, (25 * _CHUNK + 1, d))
         ct = empirical_coeffs(xs, (3,) * d)
-        mats = [phi_univariate(3, xs[:, j]) for j in range(d)]
-        for k in np.ndindex(ct.a.shape):
-            terms = np.prod([mats[j][k[j]] for j in range(d)], axis=0)
-            assert abs(ct[k] - math.fsum(terms) / xs.shape[0]) <= 1e-14
+        assert np.abs(ct.a - fsum_empirical_coeffs(xs, (3,) * d)).max() <= 1e-14
 
     def test_bits_do_not_depend_on_blas_threads(self):
         code = (
@@ -194,8 +193,8 @@ class TestEmpiricalCoeffs:
 
 
 class TestStreamedBasis:
-    """The row generator and the streamed contraction against the matrix
-    forms they replaced, byte for byte."""
+    """The in-place rows against the matrix form, byte for byte, and the
+    chunked contraction against exact summation."""
 
     @pytest.mark.parametrize("kmax", [0, 1, 5, 21])
     def test_rows_equal_the_matrix(self, kmax):
@@ -212,11 +211,14 @@ class TestStreamedBasis:
         if len(m) > 1:
             xs[1::89, -1] = 1e20
         got = empirical_coeffs(xs, m).a
-        assert got.tobytes() == full_matrix_empirical_coeffs(xs, m).tobytes()
+        assert np.abs(got - fsum_empirical_coeffs(xs, m)).max() <= 1e-14
 
-    def test_memory_is_one_basis_matrix(self):
-        # at d = 2 only axis 1 is a matrix; axis 0 streams a few N-vectors
-        N, m = 100_000, (20, 20)
+    @pytest.mark.parametrize("N", [100_000, 400_000, 1_000_000])
+    def test_memory_is_one_basis_matrix(self, N):
+        # one chunk's basis matrices, (m_j + 1) _CHUNK doubles per axis, and
+        # a few chunk vectors, whatever N is: the samples' validation makes
+        # no N x d temporary either
+        m = (20, 20)
         xs = np.random.default_rng(9).exponential(1.0, (N, 2))
         tracemalloc.start()
         try:
@@ -224,7 +226,7 @@ class TestStreamedBasis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (m[1] + 1) * N + 8 * (8 * N)
+        assert peak < 8 * _CHUNK * (sum(m) + len(m) + 8)
 
 
 class TestCoeffsFromMoments:
@@ -356,6 +358,15 @@ class TestValidateSamples:
         with pytest.raises(ValueError, match="row 1, column 0"):
             validate_samples(np.array([[0.5, 0.5], [-1.0, 0.2]]))
 
-    def test_rejects_nan(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nan(self, bad):
+        # whichever entry is not finite, and among finite ones
         with pytest.raises(ValueError, match="non-finite"):
-            validate_samples(np.array([[np.nan]]))
+            validate_samples(np.array([[bad]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_samples(np.array([[0.5, 2.0], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(ValueError, match="N x d matrix"):
+            validate_samples(np.empty(shape))
