@@ -22,15 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimator import (
-    FitConfig,
-    FitReport,
-    QuadratureError,
-    fit_empirical,
-    project_density,
-    theoretical_coeffs,
-)
+from .estimator import FitConfig, FitReport, fit_empirical, project_density
 from .ggc import GgcModel, float_coeffs, sample
+from .laguerre import QuadratureError, theoretical_coeffs
 from .numkit import _from_oracle
 from .validate import (
     bench_cdf,

@@ -5,18 +5,18 @@ none) from particle swarm restarts; one rule finishes every start:
 Levenberg-Marquardt polishes it, unless it is a swarm stopped by its
 iteration cap, and the lowest loss wins.
 
-The target is the empirical coefficients ``mean_i phi_k(X_i)`` of
-samples (:func:`fit_empirical`), or the coefficients ``<f, phi_k>`` of a
-formal density, from one tanh-sinh quadrature in doubles
-(:func:`theoretical_coeffs`), tested against
-:func:`thorin.oracle.theoretical_moments`.  The search reads its box and
-dimension off the target's :class:`~thorin.laguerre.CoeffTensor` and its
-atom count off the length of a position.  It runs in an unconstrained
-parameterization: log-space for the shapes and simplex-logit space for
-each scale row (the logs of the row's simplex coordinates and of the
-residual), so every particle decodes to a valid model without clamping.
-Model coefficients, for the swarm and for the reported loss alike, come
-from one double kernel, :func:`thorin.ggc.batch_coeffs`.
+The module holds only the loss and the search.  The target comes from
+:mod:`thorin.laguerre`: the empirical coefficients ``mean_i phi_k(X_i)``
+of samples (:func:`fit_empirical`), or the coefficients ``<f, phi_k>`` of
+a formal density (:func:`~thorin.laguerre.theoretical_coeffs`).  The
+search reads its box and dimension off the target's
+:class:`~thorin.laguerre.CoeffTensor` and its atom count off the length
+of a position.  It runs in an unconstrained parameterization: log-space
+for the shapes and simplex-logit space for each scale row (the logs of
+the row's simplex coordinates and of the residual), so every particle
+decodes to a valid model without clamping.  Model coefficients, for the
+swarm and for the reported loss alike, come from one double kernel,
+:func:`thorin.ggc.batch_coeffs`.
 """
 
 from __future__ import annotations
@@ -24,29 +24,22 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .ggc import GgcModel, batch_coeffs, float_coeffs
-from .laguerre import (
-    CoeffTensor,
-    empirical_coeffs,
-    phi_univariate,
-    validate_samples,
-)
+from .laguerre import CoeffTensor, empirical_coeffs, validate_samples
 from .numkit import _from_oracle
 from .wellbehaved import WbReport, best_eps
 
 __all__ = [
     "FitConfig",
     "FitReport",
-    "QuadratureError",
     "default_box",
     "loss_Lm",
     "fit_empirical",
     "project_density",
-    "theoretical_coeffs",
 ]
 
 __getattr__ = _from_oracle(__name__, "coeffs_from_moments", "theoretical_moments")
@@ -77,14 +70,6 @@ _SMAG_RANGE = (math.log(1e-3), math.log(1e3))
 _LOGIT_RANGE = (-18.0, 0.0)
 _ZERO_SCALE_TOL = 1e-10
 _SHAPE_FLOOR = 1e-12
-_SPLIT = ((0, 1), (1, 10), (10, math.inf))
-# tanh-sinh step sums stop where the node is within 2^-64 of an end of
-# its interval, as mpmath's rule does at 53 bits
-_TS_TMAX = math.asinh(64 * math.log(2.0) / math.pi)
-_TS_TORIGIN = math.asinh(690.0 / math.pi)  # exp(pi sinh t) down to ~1e-300
-_COEFF_TOL = 1e-15
-_COEFF_LEVELS = (10, 7)  # highest level for d = 1, 2
-_GRID_ROWS = 256  # rows of the d = 2 node grid per density call, to bound memory
 
 
 def default_box(n: int, d: int) -> Tuple[int, ...]:
@@ -155,16 +140,6 @@ class FitReport:
             tool_version=__version__,
         )
         return out
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance; the
-    achieved tolerance (relative for moments, absolute for coefficients)
-    is carried along."""
-
-    def __init__(self, message: str, achieved_tol: float):
-        super().__init__(message)
-        self.achieved_tol = achieved_tol
 
 
 def _decode(params: np.ndarray, d: int):
@@ -451,7 +426,8 @@ def fit_empirical(samples, cfg: FitConfig) -> FitReport:
 def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
     """Minimize the truncated coefficient distance to ``target``: the
     empirical coefficients of observations (:func:`fit_empirical`) or
-    those of a formal density, such as :func:`theoretical_coeffs`.
+    those of a formal density, such as
+    :func:`thorin.laguerre.theoretical_coeffs`.
 
     ``target`` must cover the box ``cfg`` resolves to in its dimension.
     Deterministic given ``(target, cfg)``.  The starts are, in d = 1,
@@ -510,72 +486,4 @@ def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
         converged=best[2],
         empirical_coeffs_hash=digest.hexdigest(),
         notes=tuple(notes),
-    )
-
-
-def _tanh_sinh(splits: Sequence[float], level: int):
-    """Nodes and weights of the tanh-sinh rule with step ``h = 2^-level``
-    (Takahasi & Mori 1974) on ``[s_0, s_1], ..., [s_last, inf)``.
-
-    With ``c2 = exp(pi sinh t)`` a finite node is ``a + (b-a) c2/(1+c2)``
-    with weight ``h (b-a) pi cosh t c2/(1+c2)^2``, and the last interval
-    uses mpmath's map ``x = a + 1/c2`` with weight ``h pi cosh t / c2``;
-    written this way, no node near an end loses digits to ``1 - tanh``.
-    Nodes near ``0`` keep their relative precision, so on ``[0, s_1]`` the
-    sum runs on down to ``x ~ 1e-300``: a density singular at the origin
-    (Weibull with ``k < 1``) loses no mass there.
-    """
-    h = 2.0 ** -level
-    t = h * np.arange(-math.ceil(_TS_TORIGIN / h), math.ceil(_TS_TMAX / h) + 1)
-    near = t >= -math.ceil(_TS_TMAX / h) * h
-    c2 = np.exp(np.pi * np.sinh(t))
-    hw = h * np.pi * np.cosh(t)
-    xs, ws = [], []
-    for i, (a, b) in enumerate(zip(splits[:-1], splits[1:])):
-        keep = slice(None) if i == 0 else near
-        xs.append(a + (b - a) * (c2[keep] / (1.0 + c2[keep])))
-        ws.append((b - a) * hw[keep] * c2[keep] / (1.0 + c2[keep]) ** 2)
-    return (np.concatenate(xs + [splits[-1] + 1.0 / c2[near]]),
-            np.concatenate(ws + [hw[near] / c2[near]]))
-
-
-def theoretical_coeffs(pdf: Callable, m: Sequence[int], jumps: Sequence[float] = ()) -> CoeffTensor:
-    """Laguerre coefficients ``a_k = int f phi_k`` of a density over the
-    box, by tanh-sinh quadrature in doubles.
-
-    ``pdf`` is vectorized: one array per coordinate, broadcast against
-    each other (``d <= 2``).  Every axis is split where
-    :func:`thorin.oracle.theoretical_moments` splits it,
-    ``[0,1], [1,10], [10,inf)``, and at each of ``jumps``, where the
-    density may be discontinuous.  The basis is evaluated at the nodes,
-    so in ``d = 2`` the estimate is ``Phi_1 F Phi_2^T`` over the tensor
-    grid, built in row blocks.  The integrand is bounded
-    (``|phi_k| <= sqrt(2)^d``), so no cancellation costs digits: the
-    level rises until two successive estimates agree to ``_COEFF_TOL``
-    absolute, else :class:`QuadratureError` carries the last difference.
-    """
-    m = tuple(int(v) for v in m)
-    d = len(m)
-    if d > 2:
-        raise ValueError("quadrature mode supports d <= 2")
-    splits = sorted({float(a) for a, _ in _SPLIT} | {float(v) for v in jumps if v > 0})
-    prev = None
-    for level in range(1, _COEFF_LEVELS[d - 1] + 1):
-        x, w = _tanh_sinh(splits, level)
-        basis = [phi_univariate(mj, x) * w for mj in m]
-        if d == 1:
-            a = basis[0] @ pdf(x)
-        else:
-            a = sum(basis[0][:, r] @ (pdf(x[r, None], x[None, :]) @ basis[1].T)
-                    for r in (slice(i, i + _GRID_ROWS) for i in range(0, x.size, _GRID_ROWS)))
-        if prev is not None:
-            diff = np.abs(a - prev)
-            if diff.max() <= _COEFF_TOL:
-                return CoeffTensor(m, a)
-        prev = a
-    k = np.unravel_index(np.argmax(diff), diff.shape)
-    raise QuadratureError(
-        f"coefficient quadrature at k={tuple(map(int, k))} reached absolute tolerance "
-        f"{diff.max():.3g} (requested {_COEFF_TOL:.0e})",
-        float(diff.max()),
     )

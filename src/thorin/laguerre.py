@@ -3,10 +3,11 @@
 The univariate basis functions are ``phi_k(x) = sqrt(2) e^{-x} L_k(2x)``
 with ``L_k`` the Laguerre polynomials; the d-variate basis is their
 tensor product.  This module evaluates the basis and maps each way
-between points and coefficients by one contraction of the per-axis basis
-matrices ``phi_univariate(m_j, x[:, j])``: over the sample axis, one
-fixed-size chunk of samples at a time, for the empirical coefficients,
-over the index axes for the truncated density.
+between points and coefficients by two-operand ``einsum`` contractions
+of the per-axis basis matrices, numpy's own loop and not BLAS: over
+chunks of samples (:func:`empirical_coeffs`), over row blocks of a
+tanh-sinh node grid (:func:`theoretical_coeffs`) and over the index
+axes (:func:`density_grid`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .numkit import MultiIndex, _from_oracle, box_shape
 
 __all__ = [
     "CoeffTensor",
+    "QuadratureError",
     "phi",
     "empirical_coeffs",
+    "theoretical_coeffs",
     "density_grid",
     "l2_norm_sq",
     "phi_univariate",
@@ -38,6 +41,14 @@ _X_PLAIN = 700.0
 # samples per chunk of empirical_coeffs: 1.4 MB of basis matrices on the
 # (20, 20) box
 _CHUNK = 4096
+_SPLIT = ((0, 1), (1, 10), (10, math.inf))
+# tanh-sinh step sums stop where the node is within 2^-64 of an end of
+# its interval, as mpmath's rule does at 53 bits
+_TS_TMAX = math.asinh(64 * math.log(2.0) / math.pi)
+_TS_TORIGIN = math.asinh(690.0 / math.pi)  # exp(pi sinh t) down to ~1e-300
+_COEFF_TOL = 1e-15
+_COEFF_LEVELS = (10, 7)  # highest level for d = 1, 2
+_GRID_ROWS = 256  # node grid rows per density call and axis-0 basis block, in every d
 
 
 @dataclass
@@ -83,6 +94,16 @@ class CoeffTensor:
         m = tuple(obj["m"])
         a = np.asarray(obj["a"], dtype=float).reshape(box_shape(m))
         return cls(m, a)
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to reach the requested tolerance; the
+    achieved tolerance (relative for moments, absolute for coefficients)
+    is carried along."""
+
+    def __init__(self, message: str, achieved_tol: float):
+        super().__init__(message)
+        self.achieved_tol = achieved_tol
 
 
 def validate_samples(samples) -> np.ndarray:
@@ -201,6 +222,77 @@ def empirical_coeffs(samples, m: Sequence[int]) -> CoeffTensor:
     return CoeffTensor(m, a / arr.shape[0])
 
 
+def _tanh_sinh(splits: Sequence[float], level: int):
+    """Nodes and weights of the tanh-sinh rule with step ``h = 2^-level``
+    (Takahasi & Mori 1974) on ``[s_0, s_1], ..., [s_last, inf)``.
+
+    With ``c2 = exp(pi sinh t)`` a finite node is ``a + (b-a) c2/(1+c2)``
+    with weight ``h (b-a) pi cosh t c2/(1+c2)^2``, and the last interval
+    uses mpmath's map ``x = a + 1/c2`` with weight ``h pi cosh t / c2``;
+    written this way, no node near an end loses digits to ``1 - tanh``.
+    Nodes near ``0`` keep their relative precision, so on ``[0, s_1]`` the
+    sum runs on down to ``x ~ 1e-300``: a density singular at the origin
+    (Weibull with ``k < 1``) loses no mass there.
+    """
+    h = 2.0 ** -level
+    t = h * np.arange(-math.ceil(_TS_TORIGIN / h), math.ceil(_TS_TMAX / h) + 1)
+    near = t >= -math.ceil(_TS_TMAX / h) * h
+    c2 = np.exp(np.pi * np.sinh(t))
+    hw = h * np.pi * np.cosh(t)
+    xs, ws = [], []
+    for i, (a, b) in enumerate(zip(splits[:-1], splits[1:])):
+        keep = slice(None) if i == 0 else near
+        xs.append(a + (b - a) * (c2[keep] / (1.0 + c2[keep])))
+        ws.append((b - a) * hw[keep] * c2[keep] / (1.0 + c2[keep]) ** 2)
+    return (np.concatenate(xs + [splits[-1] + 1.0 / c2[near]]),
+            np.concatenate(ws + [hw[near] / c2[near]]))
+
+
+def theoretical_coeffs(pdf: Callable, m: Sequence[int], jumps: Sequence[float] = ()) -> CoeffTensor:
+    """Laguerre coefficients ``a_k = int f phi_k`` of a density over the
+    box, by tanh-sinh quadrature in doubles.
+
+    ``pdf`` is vectorized: one array per coordinate, broadcast against
+    each other (``d <= 2``).  Every axis is split where
+    :func:`thorin.oracle.theoretical_moments` splits it,
+    ``[0,1], [1,10], [10,inf)``, and at each of ``jumps``, where the
+    density may be discontinuous.  The tensor grid of the nodes goes
+    through ``_GRID_ROWS`` rows at a time, one density call each, whose
+    values meet the weighted basis one axis at a time: the block's own
+    matrix on axis 0, the whole grid's on the others.  The integrand is
+    bounded (``|phi_k| <= sqrt(2)^d``), so no cancellation costs digits: the
+    level rises until two successive estimates agree to ``_COEFF_TOL``
+    absolute, else :class:`QuadratureError` carries the last difference.
+    """
+    m = tuple(int(v) for v in m)
+    d = len(m)
+    if d > 2:
+        raise ValueError("quadrature mode supports d <= 2")
+    splits = sorted({float(a) for a, _ in _SPLIT} | {float(v) for v in jumps if v > 0})
+    prev = None
+    for level in range(1, _COEFF_LEVELS[d - 1] + 1):
+        x, w = _tanh_sinh(splits, level)
+        trailing = [phi_univariate(mj, x) * w for mj in m[1:]]
+        a = np.zeros(box_shape(m))
+        for r in (slice(i, i + _GRID_ROWS) for i in range(0, x.size, _GRID_ROWS)):
+            out = pdf(*np.ix_(x[r], *[x] * (d - 1)))
+            # each einsum sums the leading node axis and appends its index axis
+            for basis in [phi_univariate(m[0], x[r]) * w[r]] + trailing:
+                out = np.einsum("n...,kn->...k", out, basis)
+            a += out
+        if prev is not None:
+            diff = np.abs(a - prev)
+            if diff.max() <= _COEFF_TOL:
+                return CoeffTensor(m, a)
+        prev = a
+    k = np.unravel_index(np.argmax(diff), diff.shape)
+    raise QuadratureError(
+        f"coefficient quadrature at k={tuple(map(int, k))} reached absolute tolerance "
+        f"{diff.max():.3g} (requested {_COEFF_TOL:.0e})",
+        float(diff.max()),
+    )
+
+
 def density_grid(coeffs: CoeffTensor, pts) -> np.ndarray:
     """Truncated reconstruction ``sum_{k <= m} a_k phi_k(x)`` on an
     ``N x d`` array of points (a 1-d array is N univariate points).
@@ -226,4 +318,4 @@ def density_grid(coeffs: CoeffTensor, pts) -> np.ndarray:
 def l2_norm_sq(coeffs: CoeffTensor) -> float:
     """Squared L2 norm of the truncated expansion, ``sum_k a_k^2``."""
     flat = coeffs.as_float().ravel()
-    return float(flat @ flat)
+    return float(np.einsum("i,i->", flat, flat))

@@ -18,9 +18,8 @@ import mpmath
 import numpy as np
 from mpmath import mpf
 
-from .estimator import _COEFF_LEVELS, _SPLIT, QuadratureError
 from .ggc import GgcModel
-from .laguerre import CoeffTensor
+from .laguerre import _COEFF_LEVELS, _SPLIT, CoeffTensor, QuadratureError
 from .numkit import binom_prod, box_shape, iterate_box
 from .validate import bench_params
 
@@ -210,7 +209,7 @@ def theoretical_moments(
     relative tolerance target is ``10^(-bits/8)``; failure raises
     :class:`QuadratureError` carrying the worst achieved tolerance.
     Through ``coeffs_from_moments`` this is the extended-precision oracle
-    for :func:`thorin.estimator.theoretical_coeffs`.
+    for :func:`thorin.laguerre.theoretical_coeffs`.
     """
     m = tuple(int(v) for v in m)
     d = len(m)

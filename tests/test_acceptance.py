@@ -13,7 +13,6 @@ from thorin.estimator import (
     fit_empirical,
     loss_Lm,
     project_density,
-    theoretical_coeffs,
 )
 from thorin.ggc import (
     GgcModel,
@@ -22,7 +21,7 @@ from thorin.ggc import (
     moschopoulos_density,
     sample,
 )
-from thorin.laguerre import density_grid
+from thorin.laguerre import density_grid, theoretical_coeffs
 from thorin.numkit import box_shape
 from thorin.oracle import model_coeffs
 from thorin.validate import (

@@ -12,7 +12,6 @@ from scipy.special import gammaln
 from oracle_helpers import stdout_per_blas_threads
 from thorin.estimator import (
     FitConfig,
-    QuadratureError,
     _decode,
     _fitted_model,
     _losses,
@@ -24,10 +23,9 @@ from thorin.estimator import (
     fit_empirical,
     loss_Lm,
     project_density,
-    theoretical_coeffs,
 )
 from thorin.ggc import _KERNEL_BYTES, GgcModel, batch_coeffs, float_coeffs, sample
-from thorin.laguerre import CoeffTensor, empirical_coeffs
+from thorin.laguerre import CoeffTensor, QuadratureError, empirical_coeffs, theoretical_coeffs
 from thorin.oracle import (
     PrecisionContext,
     bench_density_mp,
@@ -415,13 +413,26 @@ class TestPolish:
     def test_projection_bits_do_not_depend_on_blas_threads(self):
         code = (
             "import json\n"
-            "from thorin.estimator import FitConfig, project_density, theoretical_coeffs\n"
+            "from thorin import FitConfig, project_density, theoretical_coeffs\n"
             "from thorin.validate import bench_pdf\n"
             "pdf, jumps = bench_pdf('lognormal', {'mu': 0.0, 'sigma': 0.83})\n"
             "target = theoretical_coeffs(pdf, (4,), jumps)\n"
             "rep = project_density(target, FitConfig(n=2, seed=3, restarts=2))\n"
             "print(json.dumps(rep.to_dict(), sort_keys=True).replace(' ', ''))\n"
             "print(rep.loss.hex(), len(rep.notes), rep.converged)\n"
+            # the quadrature targets in d = 2 and on a large box, and a
+            # d = 2 projection through the CLI
+            "import contextlib, io, tempfile\n"
+            "from pathlib import Path\n"
+            "from thorin.cli import main\n"
+            "for name, m in (('mln_gaussian', (6, 6)), ('lognormal', (200,))):\n"
+            "    pdf, jumps = bench_pdf(name, {})\n"
+            "    print(theoretical_coeffs(pdf, m, jumps).a.tobytes().hex())\n"
+            "with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['project', '--density', 'mln_gaussian', '--n', '2', '--m', '6,6',\n"
+            "                 '--iters', '30', '--restarts', '1', '--output', out]) == 0\n"
+            "    files = [(Path(out) / f).read_text() for f in ('report.json', 'coeffs.json')]\n"
+            "print(*files)\n"
             # A8's fit: Prony starts of up to 4 atoms from lstsq and np.roots
             "import numpy as np\n"
             "from thorin.estimator import fit_empirical\n"

@@ -10,15 +10,18 @@ from oracle_helpers import fsum_empirical_coeffs, matrix_phi_univariate, stdout_
 from thorin.ggc import GgcModel
 from thorin.laguerre import (
     _CHUNK,
+    _GRID_ROWS,
     CoeffTensor,
     density_grid,
     empirical_coeffs,
     l2_norm_sq,
     phi,
     phi_univariate,
+    theoretical_coeffs,
     validate_samples,
 )
 from thorin.oracle import coeffs_from_moments, model_coeffs
+from thorin.validate import bench_pdf
 
 SQRT2 = math.sqrt(2.0)
 
@@ -227,6 +230,30 @@ class TestStreamedBasis:
         finally:
             tracemalloc.stop()
         assert peak < 8 * _CHUNK * (sum(m) + len(m) + 8)
+
+
+class TestQuadratureBlocks:
+    @pytest.mark.parametrize(
+        "name, params, m",
+        [
+            ("lognormal", {}, 100),  # level 8, 5841 nodes
+            ("lognormal", {}, 300),  # level 10, 23350 nodes
+            ("pareto", {"k": 2.5, "xm": 2.0}, 300),  # level 10 with a jump, 30197 nodes
+        ],
+    )
+    def test_memory_is_a_few_row_blocks(self, name, params, m):
+        # in d = 1 the basis is built one block of _GRID_ROWS nodes at a
+        # time, so the scratch is a few (m + 1) x _GRID_ROWS matrices (the
+        # block, its weighted copy and the far nodes' mantissas and
+        # exponents), whatever the number of nodes
+        pdf, jumps = bench_pdf(name, params)
+        tracemalloc.start()
+        try:
+            theoretical_coeffs(pdf, (m,), jumps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _GRID_ROWS * 8 * (m + 1)
 
 
 class TestCoeffsFromMoments:

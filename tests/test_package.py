@@ -105,3 +105,27 @@ class TestImports:
                             unused.append(where)
         assert unused == []
         assert exempt, "ggc's numpy.random import carries noqa F401"
+
+
+class TestSources:
+    def test_laguerre_makes_no_matrix_product(self):
+        # BLAS products change bits with the thread count; the layer's
+        # contractions are two-operand einsums
+        tree = ast.parse((SRC / "laguerre.py").read_text())
+        found = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "tensordot", "inner")
+        ]
+        assert found == []
+
+    def test_oracle_does_not_import_the_search(self):
+        tree = ast.parse((SRC / "oracle.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                module = ".".join(["thorin"] * bool(node.level) + [node.module] * bool(node.module))
+                imported |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+        assert "thorin.estimator" not in imported
