@@ -358,6 +358,8 @@ def _fft_len(n: int) -> int:
 def float_coeffs(model: GgcModel, m: Sequence[int]) -> CoeffTensor:
     """Coefficients of one model from :func:`batch_coeffs`."""
     m = tuple(int(v) for v in m)
+    if len(m) != model.d:
+        raise ValueError(f"box has dimension {len(m)}, model {model.d}")
     row_sum = model.scales.sum(axis=1, keepdims=True)
     simplex = np.hstack([model.scales, np.ones_like(row_sum)]) / (1.0 + row_sum)
     a = batch_coeffs(model.alpha[None, :], simplex[None], m)[0]

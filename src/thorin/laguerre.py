@@ -165,17 +165,22 @@ def _phi_far(kmax: int, xs: np.ndarray) -> np.ndarray:
     overflow and ``e^{-x}`` underflows.  The recurrence carries
     ``L_k(2x) 2^{-E_k}`` with the mantissa renormalized at every step, and
     ``2^{E_k} e^{-x}`` is formed as one exponential, so the tiny values
-    come out true (or as zero once they underflow) instead of ``inf * 0``."""
+    come out true (or as zero once they underflow) instead of ``inf * 0``.
+    Row ``k - 1`` is scaled as soon as the recurrence has taken ``prev``
+    from it, so the scratch besides the output is a few rows, with
+    ``E_k`` carried as one vector."""
     x2 = 2.0 * xs
-    out, expo = np.empty((kmax + 1, xs.size)), np.zeros((kmax + 1, xs.size))
+    out, expo = np.empty((kmax + 1, xs.size)), np.zeros(xs.size)
     out[0], prev = 1.0, None
     for k in range(1, kmax + 1):
         _laguerre_row(out, k, x2, prev)
         out[k], shift = np.frexp(out[k])
-        expo[k] = expo[k - 1] + shift
         prev = np.ldexp(out[k - 1], -shift)
-    out *= _SQRT2
-    out *= np.exp(expo * _LN2 - xs)
+        out[k - 1] *= _SQRT2
+        out[k - 1] *= np.exp(expo * _LN2 - xs)
+        expo += shift
+    out[kmax] *= _SQRT2
+    out[kmax] *= np.exp(expo * _LN2 - xs)
     return out
 
 

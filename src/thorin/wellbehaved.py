@@ -11,10 +11,13 @@ the O(n^d) subspaces and affine hyperplanes spanned by atoms, so there is
 no cap on the atom count.  It runs in doubles under two rules: rows
 have rank below r when their r-th singular value is at most 1e-13 of
 the largest, and an atom lies on ``<s, t> = 1`` when its relative
-residual is at most 1e-9.  The atom tuples are screened a chunk at a
-time, with stacked linear algebra in bounded scratch, and only the
-tuples that may carry a majority are decided one by one.  The rays and
-the singularity of the dependence structure follow the same rank rule.
+residual is at most 1e-9.  Each rule is one routine
+(:func:`_rank_below`, :func:`_relative_residual`), which the chunked
+screen and the one-by-one decisions share.  The atom tuples are
+screened a chunk at a time, with stacked linear algebra in bounded
+scratch, and only the tuples that may carry a majority are decided one
+by one.  The rays and the singularity of the dependence structure
+follow the same rank rule.
 """
 
 from __future__ import annotations
@@ -119,7 +122,8 @@ def disc_image(b: float) -> Tuple[float, float]:
 
 def _relative_residual(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-equation residuals of ``rows @ t = 1``, each measured against
-    its own cancellation scale ``1 + sum_j |r_ij t_j|``."""
+    its own cancellation scale ``1 + sum_j |r_ij t_j|``; a ``d x k``
+    matrix ``t`` holds k points, one column of residuals each."""
     return np.abs(rows @ t - 1.0) / (1.0 + np.abs(rows) @ np.abs(t))
 
 
@@ -133,10 +137,10 @@ def _rank_below(stack: np.ndarray, r: int) -> np.ndarray:
     has rank below ``r``, i.e. its r-th singular value is at most
     ``_RANK_TOL`` of the largest.
 
-    A square stack with ``r = d`` is screened by its determinant first,
-    and only the matrices the screen cannot clear go to the SVD.  The
-    screen clears ``A`` when ``|det A| > _DET_MARGIN _RANK_TOL ||A||_F^d``.
-    It never clears a matrix the SVD would call rank-deficient: let the
+    A square stack with ``r = d`` is screened by its determinant first;
+    the matrices the screen cannot clear, and every other stack, go to
+    the SVD.  The screen clears ``A`` when
+    ``|det A| > _DET_MARGIN _RANK_TOL ||A||_F^d``.  It never clears a matrix the SVD would call rank-deficient: let the
     computed determinant be that of ``A + E`` (LU with partial pivoting)
     and the computed singular values those of ``A + F`` (the SVD), with
     ``||E||_2, ||F||_2 <= eta sigma_1``.  If the SVD finds
@@ -153,40 +157,26 @@ def _rank_below(stack: np.ndarray, r: int) -> np.ndarray:
     side underflows or overflows; a zero or non-finite side clears
     nothing.
     """
+    below, todo = np.zeros(stack.shape[0], dtype=bool), slice(None)
     if stack.shape[1] == stack.shape[2] == r:
         sign, logdet = np.linalg.slogdet(stack)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_fro = 0.5 * np.log(np.einsum("cij,cij->c", stack, stack))
-            cleared = (sign != 0) & (logdet > math.log(_DET_MARGIN * _RANK_TOL) + r * log_fro)
-        below = np.zeros(stack.shape[0], dtype=bool)
-        if not cleared.all():
-            below[~cleared] = _svd_rank_below(stack[~cleared], r)
-        return below
-    return _svd_rank_below(stack, r)
+            todo = ~((sign != 0) & (logdet > math.log(_DET_MARGIN * _RANK_TOL) + r * log_fro))
+        if not todo.any():
+            return below
+    sv = np.linalg.svd(stack[todo], compute_uv=False)
+    below[todo] = sv[:, r - 1] <= _RANK_TOL * sv[:, 0] if sv.shape[-1] >= r else True
+    return below
 
 
-def _svd_rank_below(stack: np.ndarray, r: int) -> np.ndarray:
-    """The rank rule of :func:`_rank_below` by the singular values, with
-    the same verdicts; single matrices come here directly, as the screen
-    costs more than it saves when there is nothing to batch."""
-    sv = np.linalg.svd(stack, compute_uv=False)
-    if sv.shape[-1] < r:
-        return np.ones(stack.shape[0], dtype=bool)
-    return sv[:, r - 1] <= _RANK_TOL * sv[:, 0]
-
-
-def _subset_geometry(rows: np.ndarray):
-    """(rank_ok, t_star or None) for one atom subset.
-
-    ``rank_ok`` is False when the subset's rows fail the rank rule of
-    :func:`_rank_below`; ``t_star`` is the least-squares solution of
-    ``rows @ t = 1`` when every row passes the membership rule of
-    :func:`_on_hyperplane`, else None.
-    """
-    if _svd_rank_below(rows[None], rows.shape[1])[0]:
-        return False, None
+def _hyperplane_point(rows: np.ndarray) -> Optional[np.ndarray]:
+    """The least-squares solution ``t`` of ``rows @ t = 1`` when every
+    row passes the membership rule of :func:`_on_hyperplane`, else None.
+    The rows hold d atoms that pass the rank rule of :func:`_rank_below`,
+    or the atoms on a hyperplane through such d."""
     t, *_ = np.linalg.lstsq(rows, np.ones(rows.shape[0]), rcond=None)
-    return True, (t if _on_hyperplane(rows, t).all() else None)
+    return t if _on_hyperplane(rows, t).all() else None
 
 
 def _subset_eps(t_star: np.ndarray) -> float:
@@ -238,19 +228,19 @@ def _majority_eps(alpha: np.ndarray, scales: np.ndarray) -> Tuple[float, Optiona
     Both searches walk the atom tuples in combination order, in chunks
     whose scratch (tuples x atoms x d^2 doubles) fits ``_SEARCH_BYTES``;
     the subspace search, the only one that returns early, starts 64
-    times smaller and doubles its chunk.  A chunk takes one stacked SVD
-    for the rank rule, and the hyperplane search adds one stacked solve
-    of the d x d systems and one ``einsum`` for the residual of every
-    (tuple, atom) pair.  The chunk only screens: a tuple whose masked
-    mass may reach half the total (within ``_MASS_TIE``; for a hyperplane,
-    counting the atoms within twice the membership tolerance) is decided
-    again on its own, in order, by :func:`_subset_geometry` and
-    :func:`_on_hyperplane`.  So the margin, its witness and the
-    first-wins ties do not depend on the chunks.
+    times smaller and doubles its chunk.  A chunk takes one stacked rank
+    test by :func:`_rank_below`, and the hyperplane search adds one
+    stacked solve of the d x d systems and one matrix of residuals by
+    :func:`_relative_residual`, atoms by tuples.  The chunk only screens:
+    a tuple whose masked mass may reach half the total (within
+    ``_MASS_TIE``; for a hyperplane, counting the atoms within twice the
+    membership tolerance) is decided again on its own, in order, by
+    :func:`_hyperplane_point` and :func:`_on_hyperplane`.  So the margin,
+    its witness and the first-wins ties do not depend on the chunks.
     """
     n, d = scales.shape
     total = alpha.sum()
-    if _svd_rank_below(scales[None], d)[0]:
+    if _rank_below(scales[None], d)[0]:
         return 0.0, f"rank-deficient majority subset {tuple(range(n))}"
     size = max(1, _SEARCH_BYTES // (8 * n * d * d))
     for bases in _combination_chunks(n, d - 1, max(1, size // 64), size):
@@ -260,24 +250,22 @@ def _majority_eps(alpha: np.ndarray, scales: np.ndarray) -> Tuple[float, Optiona
             if 2.0 * alpha[on].sum() > total:
                 return 0.0, f"rank-deficient majority subset {tuple(np.flatnonzero(on).tolist())}"
     best, witness = math.inf, None
-    both = np.stack([scales, np.abs(scales)])
     for bases in _combination_chunks(n, d, size, size):
         bases = bases[~_rank_below(scales[bases], d)]
         ts = np.linalg.solve(scales[bases], np.ones((len(bases), d, 1)))[..., 0]
-        dot, scale = np.einsum("knj,kcj->kcn", both, np.stack([ts, np.abs(ts)]))
         # twice the tolerance: the solve's t may differ in its last bits
         # from the least-squares t that decides membership
-        near = np.abs(dot - 1.0) <= 2.0 * _ON_TOL * (1.0 + scale)
+        near = (_relative_residual(scales, ts.T) <= 2.0 * _ON_TOL).T
         mass = np.where(near, alpha, 0.0).sum(axis=1)
         for basis in bases[2.0 * mass >= (1.0 - _MASS_TIE) * total]:
-            t = _subset_geometry(scales[basis])[1]
+            t = _hyperplane_point(scales[basis])
             if t is None:
                 continue
             on = _on_hyperplane(scales, t)
             if 2.0 * alpha[on].sum() > total:
                 # solve over every atom on the hyperplane, so that all the
                 # d-tuples spanning it give the same singular point
-                refit = _subset_geometry(scales[on])[1]
+                refit = _hyperplane_point(scales[on])
                 t = t if refit is None else refit
                 eps = _subset_eps(t)
                 if eps < best:
@@ -346,7 +334,7 @@ def classify_dependence(model: GgcModel) -> DependenceReport:
             if free[j]:  # a new ray; inside[j] holds j itself
                 rays += 1
                 free &= ~inside
-    singular = bool(_svd_rank_below(scales[None], d)[0])
+    singular = bool(_rank_below(scales[None], d)[0])
     if np.all((scales > 0).sum(axis=1) == 1):
         kind = "independent"
     elif rays == 1:

@@ -11,8 +11,7 @@ import numpy as np
 
 from thorin.ggc import _series_exp
 from thorin.numkit import box_shape, iterate_box
-from thorin.wellbehaved import _on_hyperplane, _subset_eps, _subset_geometry
-from thorin.wellbehaved import _svd_rank_below as _rank_below
+from thorin.wellbehaved import _RANK_TOL, _hyperplane_point, _on_hyperplane, _subset_eps
 
 
 def set_partitions(elements):
@@ -52,6 +51,17 @@ def brute_force_moments(kappa: np.ndarray, m) -> np.ndarray:
     return out
 
 
+def svd_rank_below(stack: np.ndarray, r: int) -> np.ndarray:
+    """The rank rule of ``wellbehaved._rank_below`` by the singular
+    values alone, without its determinant screen: whether each matrix of
+    ``stack`` has its r-th singular value at most ``_RANK_TOL`` of the
+    largest (or fewer than r of them)."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    if sv.shape[-1] < r:
+        return np.ones(stack.shape[0], dtype=bool)
+    return sv[:, r - 1] <= _RANK_TOL * sv[:, 0]
+
+
 def enumerated_best_eps(model) -> float:
     """Well-behavedness margin of a model with d >= 2 from every minimal
     majority subset of its atoms (more than half the mass, and no member
@@ -68,9 +78,10 @@ def enumerated_best_eps(model) -> float:
             mass = alpha[list(idx)]
             if not 2.0 * mass.sum() > total >= 2.0 * (mass.sum() - mass.min()):
                 continue
-            rank_ok, t = _subset_geometry(scales[list(idx)])
-            if not rank_ok:
+            rows = scales[list(idx)]
+            if svd_rank_below(rows[None], model.d)[0]:
                 return 0.0
+            t = _hyperplane_point(rows)
             if t is not None:
                 best = min(best, _subset_eps(t))
     return best
@@ -79,29 +90,33 @@ def enumerated_best_eps(model) -> float:
 def per_tuple_majority_eps(alpha: np.ndarray, scales: np.ndarray):
     """``(eps, witness)`` of the majority search in d >= 2, one atom
     tuple at a time: an SVD, a least-squares solve and two membership
-    tests per tuple, in combination order; the subspace search decides
-    rank by the SVD alone, without the determinant screen.  The chunked search in
-    ``wellbehaved._majority_eps`` must agree with it bit for bit."""
+    tests per tuple, in combination order; rank is decided by
+    :func:`svd_rank_below`, without the determinant screen.  The chunked
+    search in ``wellbehaved._majority_eps`` must agree with it bit for
+    bit."""
     n, d = scales.shape
     total = alpha.sum()
-    if _rank_below(scales[None], d)[0]:
+    if svd_rank_below(scales[None], d)[0]:
         return 0.0, f"rank-deficient majority subset {tuple(range(n))}"
     for basis in itertools.combinations(range(n), d - 1):
         rows = scales[list(basis)]
-        if _rank_below(rows[None], d - 1)[0]:
+        if svd_rank_below(rows[None], d - 1)[0]:
             continue
         stack = np.concatenate([np.broadcast_to(rows, (n, d - 1, d)), scales[:, None]], axis=1)
-        inside = _rank_below(stack, d)
+        inside = svd_rank_below(stack, d)
         if 2.0 * alpha[inside].sum() > total:
             return 0.0, f"rank-deficient majority subset {tuple(np.flatnonzero(inside).tolist())}"
     best, witness = math.inf, None
     for basis in itertools.combinations(range(n), d):
-        t = _subset_geometry(scales[list(basis)])[1]
+        rows = scales[list(basis)]
+        if svd_rank_below(rows[None], d)[0]:
+            continue
+        t = _hyperplane_point(rows)
         if t is None:
             continue
         on = _on_hyperplane(scales, t)
         if 2.0 * alpha[on].sum() > total:
-            refit = _subset_geometry(scales[on])[1]
+            refit = _hyperplane_point(scales[on])
             t = t if refit is None else refit
             eps = _subset_eps(t)
             if eps < best:

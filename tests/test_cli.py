@@ -395,13 +395,18 @@ class TestCoeffsAndWb:
         assert rc == EXIT_OK
         assert out.read_bytes() == (fit / "coeffs.json").read_bytes()
 
-    def test_coeffs_box_of_wrong_dimension(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scales, box, dims", [
+        ([[1.0, 0.5], [0.2, 3.0]], "3", (1, 2)),
+        ([[1.0], [0.2]], "3,3", (2, 1)),
+    ])
+    def test_coeffs_box_of_wrong_dimension(self, tmp_path, capsys, scales, box, dims):
+        # the model's wording, as the oracle's, not the kernel's simplex rows
         model_path = tmp_path / "model.json"
-        model_path.write_text(GgcModel([1.0, 2.0], [[1.0, 0.5], [0.2, 3.0]]).to_json())
-        rc = main(["coeffs", "--model", str(model_path), "--m", "3",
+        model_path.write_text(GgcModel([1.0, 2.0], scales).to_json())
+        rc = main(["coeffs", "--model", str(model_path), "--m", box,
                    "--output", str(tmp_path / "c.json")])
         assert rc == EXIT_DATA
-        assert "dimension" in capsys.readouterr().err
+        assert capsys.readouterr().err == "data error: box has dimension %d, model %d\n" % dims
         assert not (tmp_path / "c.json").exists()
 
     def test_coeffs_has_no_bits(self, tmp_path):

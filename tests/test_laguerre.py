@@ -12,6 +12,7 @@ from thorin.laguerre import (
     _CHUNK,
     _GRID_ROWS,
     CoeffTensor,
+    _phi_far,
     density_grid,
     empirical_coeffs,
     l2_norm_sq,
@@ -114,6 +115,18 @@ class TestPhi:
             tracemalloc.stop()
         assert peak < out.nbytes + 8 * xs.nbytes
 
+    def test_far_rows_scaled_in_place(self):
+        # beyond x = 700 each row is scaled as soon as the recurrence is past
+        # it, and the binary exponents are one vector: no second matrix
+        xs = np.linspace(701.0, 3000.0, 4096)
+        tracemalloc.start()
+        try:
+            out = _phi_far(300, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 8 * xs.nbytes
+
     def test_orthonormality_by_quadrature(self):
         for j in range(0, 11, 2):
             for k in range(j, 11, 3):
@@ -199,7 +212,7 @@ class TestStreamedBasis:
     """The in-place rows against the matrix form, byte for byte, and the
     chunked contraction against exact summation."""
 
-    @pytest.mark.parametrize("kmax", [0, 1, 5, 21])
+    @pytest.mark.parametrize("kmax", [0, 1, 5, 21, 300])
     def test_rows_equal_the_matrix(self, kmax):
         rng = np.random.default_rng(11)
         xs = np.concatenate([rng.exponential(3.0, 500), [0.0, 700.0, 700.5, 1e4, 1e20]])
@@ -244,8 +257,8 @@ class TestQuadratureBlocks:
     def test_memory_is_a_few_row_blocks(self, name, params, m):
         # in d = 1 the basis is built one block of _GRID_ROWS nodes at a
         # time, so the scratch is a few (m + 1) x _GRID_ROWS matrices (the
-        # block, its weighted copy and the far nodes' mantissas and
-        # exponents), whatever the number of nodes
+        # block, its weighted copy and the far nodes' matrix), whatever the
+        # number of nodes
         pdf, jumps = bench_pdf(name, params)
         tracemalloc.start()
         try:

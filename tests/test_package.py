@@ -119,6 +119,24 @@ class TestSources:
         ]
         assert found == []
 
+    def test_wellbehaved_states_each_rule_once(self):
+        # the rank rule's SVD and the membership residual |<s, t> - 1| are
+        # each written in one function, which the chunked screens and the
+        # one-by-one decisions share
+        tree = ast.parse((SRC / "wellbehaved.py").read_text())
+        found = {"svd": [], "residual": []}
+        for func in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr == "svd":
+                    found["svd"].append(func.name)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "abs" and isinstance(node.args[0], ast.BinOp)
+                      and isinstance(node.args[0].op, ast.Sub)
+                      and isinstance(node.args[0].right, ast.Constant)
+                      and node.args[0].right.value == 1):
+                    found["residual"].append(func.name)
+        assert found == {"svd": ["_rank_below"], "residual": ["_relative_residual"]}
+
     def test_oracle_does_not_import_the_search(self):
         tree = ast.parse((SRC / "oracle.py").read_text())
         imported = set()

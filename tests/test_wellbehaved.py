@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from oracle_helpers import enumerated_best_eps, per_tuple_majority_eps
+from oracle_helpers import (
+    enumerated_best_eps,
+    per_tuple_majority_eps,
+    stdout_per_blas_threads,
+    svd_rank_below,
+)
 from thorin import wellbehaved
 from thorin.ggc import GgcModel, concatenate
 from thorin.laguerre import CoeffTensor
 from thorin.oracle import model_coeffs
 from thorin.wellbehaved import (
     HalfPlaneImage,
+    _hyperplane_point,
     _interval_eps_1d,
     _subset_eps,
-    _subset_geometry,
     best_eps,
     classify_dependence,
     decay_check,
@@ -357,7 +362,7 @@ class TestRankScreen:
         A *= 10.0 ** rng.uniform(-30, 30, (len(A), 1, 1))
         A[::50] = 0.0
         below = wellbehaved._rank_below(A, d)
-        assert np.array_equal(below, wellbehaved._svd_rank_below(A, d))
+        assert np.array_equal(below, svd_rank_below(A, d))
         assert below.any() and not below.all()
 
 
@@ -416,7 +421,7 @@ class TestChunkedSearch:
         # lines through (0, 1) and (0, 2) give the same margin to the
         # last bit, and the pair (1, 2) holds exactly half the mass
         alpha, scales = np.array([2.0, 1.0, 1.0]), np.array([[1.0, 1.0], b, b[::-1]])
-        margins = {_subset_eps(_subset_geometry(scales[[0, j]])[1]) for j in (1, 2)}
+        margins = {_subset_eps(_hyperplane_point(scales[[0, j]])) for j in (1, 2)}
         assert len(margins) == 1
         assert wellbehaved._majority_eps(alpha, scales) == (margins.pop(), "subset (0, 1)")
         assert_same_search(alpha, scales)
@@ -431,14 +436,35 @@ class TestChunkedSearch:
         monkeypatch.setattr(wellbehaved, "_rank_below",
                             lambda stack, r: calls.append(len(stack)) or rank_below(stack, r))
         eps, witness = wellbehaved._majority_eps(alpha, scales)
-        # one chunk, 64 times smaller than the later ones: its bases and
-        # their stacks (the span of all atoms is one matrix, decided by
-        # the SVD alone)
-        assert len(calls) == 2 and calls[1] == 40 * calls[0]
-        assert calls[0] == wellbehaved._SEARCH_BYTES // (8 * 40 * 9) // 64
+        # the span of all atoms (one matrix), then one chunk, 64 times
+        # smaller than the later ones: its bases and their stacks
+        assert len(calls) == 3 and calls[0] == 1 and calls[2] == 40 * calls[1]
+        assert calls[1] == wellbehaved._SEARCH_BYTES // (8 * 40 * 9) // 64
         assert (eps, witness) == (0.0, "rank-deficient majority subset (0, 1)")
         monkeypatch.undo()
         assert_same_search(alpha, scales)
+
+    def test_check_wb_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the search calls LAPACK and its hyperplane screen makes BLAS
+        # products: fit-2d's 22-atom model, and 40 atoms in d = 3 with
+        # uniform masses, whose every chunk goes through the screen
+        rng = np.random.default_rng(1)
+        models = [GgcModel(3.0 * 0.7 ** np.arange(22), rng.uniform(0.05, 3.0, (22, 2))),
+                  GgcModel(rng.uniform(0.2, 1.0, 40), rng.uniform(0.05, 3.0, (40, 3)))]
+        for i, model in enumerate(models):
+            (tmp_path / f"model{i}.json").write_text(model.to_json())
+        code = (
+            "import contextlib, io, sys\n"
+            "from pathlib import Path\n"
+            "from thorin.cli import main\n"
+            f"for model in sorted(Path({str(tmp_path)!r}).glob('model*.json')):\n"
+            "    out = model.with_suffix('.wb')\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(['check-wb', '--model', str(model), '--output', str(out)]) == 0\n"
+            "    sys.stdout.write(out.read_bytes().hex() + '\\n')\n"
+        )
+        out = stdout_per_blas_threads(code)
+        assert len(out[0]) == 2 and out[0] == out[1]
 
 
 class TestClassifyDependence:
