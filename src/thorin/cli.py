@@ -331,13 +331,14 @@ def _build_parser(only: str = None) -> argparse.ArgumentParser:
     metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
     sub = ap.add_subparsers(dest="mode", required=True, metavar=metavar)
 
-    def command(name, func, help, fit=False):
+    def command(name, func, help, fit=False, draws=True):
         if only not in (None, name):
             return None
         # no abbreviated flags: a config key is a flag spelled in full
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, default=0)
+        if draws:
+            p.add_argument("--seed", type=int, default=0)
         if fit:
             p.add_argument("--config", help="JSON or key=value file of this command's "
                            "flags; the command line's own flags win")
@@ -366,12 +367,12 @@ def _build_parser(only: str = None) -> argparse.ArgumentParser:
         p.add_argument("--N", type=int, default=None)
         p.add_argument("--output", required=True, help="output CSV")
 
-    if p := command("coeffs", cmd_coeffs, "Laguerre coefficients of a model JSON"):
+    if p := command("coeffs", cmd_coeffs, "Laguerre coefficients of a model JSON", draws=False):
         p.add_argument("--model", required=True)
         p.add_argument("--m", type=_box, required=True, help="comma list, e.g. 20,20")
         p.add_argument("--output", required=True, help="output JSON")
 
-    if p := command("check-wb", cmd_check_wb, "well-behavedness diagnostics"):
+    if p := command("check-wb", cmd_check_wb, "well-behavedness diagnostics", draws=False):
         p.add_argument("--model", required=True)
         p.add_argument("--output", required=True, help="output JSON")
 

@@ -148,14 +148,15 @@ def batch_coeffs(alpha: np.ndarray, simplex: np.ndarray, m: Sequence[int]) -> np
     ``R_i(0) = 1``; the right-hand side carries the factor ``x_ij``, so
     tiny scales keep their relative accuracy.  The division's stencil is
     the monomials of ``R_i``, so it reaches one slab back along axis ``j``
-    and keeps a ring of two slabs; the finished slabs are contracted with
-    ``alpha`` into ``C`` as the ring fills, two in one ``einsum``, and
-    ``M``, the running sum of ``N`` along axis ``j``, is formed once after
-    the contraction.  Its index bookkeeping is the cached :func:`_plan` of
-    the box, so a call on a small box does array work only.  One power-series exponential (Knuth, TAOCP vol. 2, 4.7)
-    finishes; its products over the trailing axes are FFT products at the
-    smallest length ``2^a 3^b 5^c >= 2 m_j + 1`` per axis, which keeps the
-    wrap-around out of the box and pocketfft off its prime-length path.
+    and keeps two slabs, ``k_j - 1`` and ``k_j``; each finished slab is
+    contracted with ``alpha`` into ``C`` at once, and ``M``, the running
+    sum of ``N`` along axis ``j``, is formed once after the contraction.
+    Its index bookkeeping is the cached :func:`_plan` of the box, so a
+    call on a small box does array work only.  One power-series
+    exponential (Knuth, TAOCP vol. 2, 4.7) finishes; its products over the
+    trailing axes are FFT products at the smallest length
+    ``2^a 3^b 5^c >= 2 m_j + 1`` per axis, which keeps the wrap-around out
+    of the box and pocketfft off its prime-length path.
 
     The particles go through in blocks whose whole scratch (the slabs,
     ``C`` and the arrays of the exponential) fits ``_KERNEL_BYTES``, by
@@ -194,16 +195,16 @@ def _block_rows(n: int, m: Tuple[int, ...]) -> int:
 class _AxisPlan(NamedTuple):
     """Index plan of the series division along axis ``j``: each slab
     covers the padded trailing axes ``rest``, ``slab`` entries, and the
-    ring holds two slabs, slab ``k_j`` in slot ``(k_j + 1) % 2``."""
+    division holds two slabs, ``k_j - 1`` and ``k_j``."""
 
     j: int
     rest: Tuple[int, ...]
     slab: int
-    terms: tuple  # S per stencil term, the monomial of R it multiplies
-    offsets: tuple  # per slot, how far back in the ring each term reads
-    entries: tuple  # per slot, the ring positions of the slab's box entries
-    init: tuple  # (ring position, factor of 2 x_j) of the k_j = 1 right-hand side
-    contract: dict  # k_j -> (slots' box entries, C's entries) of a slab group
+    # per term, (S, reads slab k_j - 1, how far back in that slab it reads):
+    # S is the monomial of R the term multiplies
+    stencil: tuple
+    entries: tuple  # the slab positions of the box entries
+    init: tuple  # (slab position, factor of 2 x_j) of the k_j = 1 right-hand side
     c_own: tuple  # C's entries whose first non-zero coordinate is j
     kj: np.ndarray  # k_j on those entries
     c_axis: tuple  # C's entries on axis j past the origin
@@ -216,7 +217,7 @@ def _plan(m: Tuple[int, ...]):
     :class:`_AxisPlan` of every axis with ``m_j > 0``, and a bound on a
     block's scratch per particle in doubles, the larger of its two
     phases.  The division holds ``C`` (``division`` doubles) and
-    ``per_atom`` doubles per atom: the ring of two slabs, then ``R``
+    ``per_atom`` doubles per atom: the two slabs, then ``R``
     and three temporaries, ``2^d + 3``.  The exponential holds
     ``exponential`` doubles: ``C``, its weighted copy, the two spectra
     over the trailing axes at their transform lengths
@@ -231,27 +232,16 @@ def _plan(m: Tuple[int, ...]):
         strides = [math.prod(rest[i + 1 :]) for i in range(len(rest))]
         terms = [t for t in itertools.product((0, 1), repeat=d - j) if any(t)]
         reach = [sum(a * b for a, b in zip(t[1:], strides)) for t in terms]
-        inner = (slice(1, None),) * len(rest)
-        # a slab group is contracted when the ring holds slabs k_j - 1, k_j
-        # in slot order, and at the last slab
-        ends = [k for k in range(1, m[j] + 1) if k % 2 == 0 or k == m[j]]
-        box = np.arange(slab).reshape(rest)[inner].ravel().tolist()
         axes.append(_AxisPlan(
             j=j,
             rest=rest,
             slab=slab,
-            terms=tuple((0,) * j + t for t in terms),
-            offsets=tuple(tuple((s - (s - t[0]) % 2) * slab + off for t, off in zip(terms, reach))
-                          for s in range(2)),
-            entries=tuple(tuple(s * slab + q for q in box) for s in range(2)),
+            stencil=tuple(((0,) * j + t, t[0] == 1, off) for t, off in zip(terms, reach)),
+            entries=tuple(np.arange(slab).reshape(rest)[(slice(1, None),) * len(rest)]
+                          .ravel().tolist()),
             init=tuple((sum((v + 1) * b for v, b in zip(tail, strides)),
                         (-1.0) ** sum(tail) * 2.0)
                        for tail in itertools.product(*(range(min(v, 2)) for v in shape[j + 1 :]))),
-            contract={
-                k: ((slice((lo + 1) % 2, (k + 1) % 2 + 1),) + inner,
-                    (slice(None),) + (0,) * j + (slice(lo, k + 1),))
-                for lo, k in zip([1] + [k + 1 for k in ends[:-1]], ends)
-            },
             c_own=(slice(None),) + (0,) * j + (slice(1, None),),
             kj=np.arange(1, shape[j], dtype=float).reshape((-1,) + (1,) * len(rest)),
             c_axis=(slice(None),) + (0,) * j + (slice(1, None),) + (0,) * (d - j - 1),
@@ -285,29 +275,27 @@ def _log_series(alpha: np.ndarray, simplex: np.ndarray, shape: Tuple[int, ...],
 def _divide(ax: _AxisPlan, R: dict, xj: np.ndarray, alpha: np.ndarray, C: np.ndarray):
     """The series division along axis ``ax.j``: writes each ``-M_k / k_j``,
     contracted with ``alpha``, into ``C`` and adds ``1 / k_j`` on the axis."""
-    # slabs k_j - 1, k_j of N over the entries with z_{<j} = 0, padded by
+    # slabs k_j - 1 and k_j of N over the entries with z_{<j} = 0, padded by
     # one zero slot in front of every trailing axis so the recurrence reads
     # zeros outside the box; slab k_j = 0 is zero
-    ring = np.zeros((2 * ax.slab,) + xj.shape)
-    slots = ring.reshape((2,) + ax.rest + xj.shape)
-    stencils = [list(zip(offsets, [R[S] for S in ax.terms])) for offsets in ax.offsets]
+    prev, cur = np.zeros((2, ax.slab) + xj.shape)
     for q, f in ax.init:
-        ring[q] = f * xj
-    for k in range(1, len(ax.kj) + 1):
-        s = (k + 1) % 2
-        (off0, c0), *stencil = stencils[s]
-        for q in ax.entries[s]:
-            # past k_j = 1 the entry starts from zero, whatever slab k_j - 2
-            # left in its slot
-            acc = ring[q]
-            np.subtract(acc if k == 1 else 0.0, c0 * ring[q - off0], out=acc)
-            for off, c in stencil:
-                acc -= c * ring[q - off]
-        if k in ax.contract:
-            done, c_group = ax.contract[k]
-            C[c_group] = np.einsum("...pn,pn->p...", slots[done], alpha)
-    # M = N / (1 - z_j) is the running sum of N along axis j
+        cur[q] = f * xj
     own = C[ax.c_own]
+    inner = (slice(1, None),) * len(ax.rest)
+    for k in range(1, len(ax.kj) + 1):
+        (c0, src0, off0), *stencil = [(R[S], prev if back else cur, off)
+                                      for S, back, off in ax.stencil]
+        for q in ax.entries:
+            # past k_j = 1 the entry starts from zero, whatever slab k_j - 2
+            # left in it
+            acc = cur[q]
+            np.subtract(acc if k == 1 else 0.0, c0 * src0[q - off0], out=acc)
+            for c, src, off in stencil:
+                acc -= c * src[q - off]
+        own[:, k - 1] = np.einsum("...pn,pn->p...", cur.reshape(ax.rest + xj.shape)[inner], alpha)
+        prev, cur = cur, prev
+    # M = N / (1 - z_j) is the running sum of N along axis j
     np.cumsum(own, axis=1, out=own)
     np.divide(own, -ax.kj, out=own)
     C[ax.c_axis] += 1.0 / ax.kj.ravel()

@@ -180,8 +180,11 @@ def _hyperplane_point(rows: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _subset_eps(t_star: np.ndarray) -> float:
-    """Margin implied by one singular point: ``max_j |h(t_j)| - 1``."""
-    return max(_h_modulus(complex(tj)) for tj in t_star) - 1.0
+    """Margin implied by one singular point: ``max_j |h(t_j)| - 1``.  The
+    point is a least-squares solution, so a coordinate within ``_ON_TOL``
+    of 1 is the pole ``t = 1``, where ``|h|`` is infinite."""
+    return max(math.inf if math.isclose(tj, 1.0, rel_tol=0.0, abs_tol=_ON_TOL)
+               else _h_modulus(complex(tj)) for tj in t_star) - 1.0
 
 
 def _interval_eps_1d(scales: np.ndarray) -> float:

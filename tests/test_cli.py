@@ -757,6 +757,21 @@ class TestEntryPoint:
             main(argv)
             assert capsys.readouterr() == want, argv
 
+    @pytest.mark.parametrize("name", cli._COMMANDS)
+    def test_seed_only_where_the_command_draws(self, tmp_path, name):
+        # fit and project seed the swarm, the others draw samples; coeffs and
+        # check-wb draw nothing, so they reject --seed as any unknown flag
+        p = cli._build_parser(name)._subparsers._group_actions[0].choices[name]
+        takes = any("--seed" in a.option_strings for a in p._actions)
+        assert takes == (name in ("fit", "project", "sample", "validate", "bench"))
+        if not takes:
+            model_path = tmp_path / "model.json"
+            model_path.write_text(GgcModel([1.0], [[1.0]]).to_json())
+            out = tmp_path / "out.json"
+            argv = [name, "--model", str(model_path), "--output", str(out), "--seed", "1"]
+            assert main(argv + ["--m", "3"] * (name == "coeffs")) == EXIT_CONFIG
+            assert not out.exists()
+
     def test_installed_script_version(self):
         proc = subprocess.run(
             [sys.executable, "-m", "thorin.cli", "--version"],

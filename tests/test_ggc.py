@@ -411,10 +411,11 @@ class TestBatchCoeffs:
     def test_stencil_is_the_monomials_of_R(self, m, counts):
         # every multilinear monomial z^S with S != 0 on the axes from j on
         axes = _plan(m)[1]
-        assert [len(ax.terms) for ax in axes] == counts
+        assert [len(ax.stencil) for ax in axes] == counts
         for ax in axes:
-            assert all(not any(S[: ax.j]) and any(S) and set(S) <= {0, 1} for S in ax.terms)
-            assert len(set(ax.terms)) == len(ax.terms)
+            terms = [S for S, _, _ in ax.stencil]
+            assert all(not any(S[: ax.j]) and any(S) and set(S) <= {0, 1} for S in terms)
+            assert len(set(terms)) == len(terms)
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
@@ -505,6 +506,8 @@ class TestKernelOracle:
         ((4,), 3, 120), ((21,), 10, 60), ((6, 6), 5, 40), ((3, 3, 3), 4, 30),
         ((0, 5), 4, 20), ((5, 0), 4, 20), ((4, 0, 3), 3, 20), ((0,), 2, 5),
         ((8,), 60, 10), ((3, 2), 60, 10),
+        # m_j = 1: the first slab of the axis is also its last
+        ((1,), 3, 20), ((1, 1), 3, 20), ((2, 1, 1), 3, 20), ((1, 4), 3, 20), ((4, 1), 3, 20),
     ])
     def test_equals_full_box_kernel(self, m, n, P):
         alpha, simplex = swarm_particles(P, n, m)

@@ -229,6 +229,20 @@ class TestBestEps:
             else:
                 assert poles == pytest.approx(interval, rel=1e-12)
 
+    def test_singular_point_at_the_pole_gives_infinite_margin(self):
+        # A11's general model: every majority line's singular point has a
+        # coordinate at t = 1, which least squares returns only to rounding
+        # (t = (1 + 2^-52, 3e-17) for the atoms (1, 0) and (1, 1))
+        rep = best_eps(GgcModel([1.0, 1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        assert rep.is_wb and rep.best_eps == math.inf
+        assert rep.to_dict()["best_eps"] == "inf"
+
+    def test_point_near_the_pole_keeps_a_finite_margin(self):
+        t = np.array([1.0 + 1e-6, 0.0])
+        eps = _subset_eps(t)
+        assert math.isfinite(eps)
+        assert eps == pytest.approx(abs(mobius_h(t[0])) - 1.0, rel=1e-12)
+
     def test_shared_ray_decided_without_atom_cap(self):
         # 23 atoms on the ray (1, 1): one rank-deficient majority
         n = 23
