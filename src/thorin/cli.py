@@ -103,12 +103,7 @@ def _load_model(path: str) -> GgcModel:
     if not p.is_file():
         raise ConfigError(f"model file not found: {path}")
     try:
-        obj = json.loads(p.read_text())
-        if isinstance(obj, dict) and "model" in obj:
-            obj = obj["model"]
-        if not isinstance(obj, dict):
-            raise ValueError("expected a JSON object")
-        return GgcModel(np.asarray(obj["alpha"]), np.asarray(obj["scales"]))
+        return GgcModel.from_json(p.read_text())
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: invalid model JSON ({exc})")
 
@@ -237,9 +232,9 @@ def cmd_project(args) -> int:
         raise ConfigError(f"--m {','.join(map(str, rcfg.m))} has dimension {len(rcfg.m)}, "
                           f"but density {name} has dimension {d}")
     report = project_density(theoretical_coeffs(pdf, rcfg.m, jumps), rcfg)
-    if name == "pareto" and params["k"] <= 0.5:
+    if name == "weibull" and params["k"] <= 0.5:
         report.notes = report.notes + (
-            "target density lies outside L2: tail exponent k <= 1/2",
+            "target density lies outside L2: f ~ k x^(k-1) at the origin, k <= 1/2",
         )
     _emit_report(report, Path(args.output))
     return EXIT_OK

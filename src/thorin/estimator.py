@@ -14,9 +14,9 @@ search reads its box and dimension off the target's
 of a position.  It runs in an unconstrained parameterization: log-space
 for the shapes and simplex-logit space for each scale row (the logs of
 the row's simplex coordinates and of the residual), so every particle
-decodes to a valid model without clamping.  Model coefficients, for the
-swarm and for the reported loss alike, come from one double kernel,
-:func:`thorin.ggc.batch_coeffs`.
+decodes to a valid model without clamping.  Every loss, the swarm's and
+the reported one alike, is one reduction (:func:`_losses`) of model
+coefficients from one double kernel, :func:`thorin.ggc.batch_coeffs`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .ggc import GgcModel, batch_coeffs, float_coeffs
-from .laguerre import CoeffTensor, empirical_coeffs, validate_samples
+from .laguerre import CoeffTensor, empirical_coeffs, l2_norm_sq, validate_samples
 from .numkit import _from_oracle
 from .wellbehaved import WbReport, best_eps
 
@@ -186,13 +186,13 @@ def loss_Lm(target: CoeffTensor, model: GgcModel) -> float:
     """Truncated squared coefficient distance
     ``sum_{k <= m} (target_k - a_k(model))^2`` over the target's box ``m``.
 
-    The model coefficients come from :func:`thorin.ggc.batch_coeffs`,
-    the kernel the swarm minimizes, so the reported loss is the swarm's
-    objective; the kernel is accurate to about 1e-14 absolute per
-    coefficient over the region the swarm searches.
+    The residual row comes from the swarm's kernel and reduction, so the
+    reported loss is the swarm's objective to the last bit; the kernel is
+    accurate to about 1e-14 absolute per coefficient over the region the
+    swarm searches.
     """
-    diff = float_coeffs(model, target.m).a.ravel() - target.as_float().ravel()
-    return float(diff @ diff)
+    res = float_coeffs(model, target.m).a.ravel() - target.as_float().ravel()
+    return float(_losses(res[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +214,17 @@ def _init_particles(rng, swarm: int, n: int, d: int):
 
 def _residuals(params, target: CoeffTensor):
     """Coefficients of each particle's model minus the target, one row each."""
-    alpha, simplex = _decode(params, target.d)
-    res = batch_coeffs(alpha, simplex, target.m)
-    res -= target.as_float().ravel()
+    with np.errstate(invalid="ignore", over="ignore"):
+        alpha, simplex = _decode(params, target.d)
+        res = batch_coeffs(alpha, simplex, target.m)
+        res -= target.as_float().ravel()
     return res
 
 
-def _losses(params, target: CoeffTensor):
-    """Swarm objective of each particle; a non-finite one reads ``inf``."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        res = _residuals(params, target)
+def _losses(res: np.ndarray) -> np.ndarray:
+    """Loss of each residual row: squared in place, then numpy's pairwise
+    ``sum``, not BLAS, whose bits follow its thread count; non-finite is ``inf``."""
+    with np.errstate(over="ignore"):
         res *= res
         val = res.sum(axis=1)
     val[~np.isfinite(val)] = np.inf
@@ -246,7 +247,7 @@ def _pso_once(target: CoeffTensor, cfg: FitConfig, rng):
     pos = _init_particles(rng, swarm, n, d)
     vel = rng.uniform(-1.0, 1.0, size=(swarm, npar)) * (0.1 * vmax)[None, :]
     pbest = pos.copy()
-    pbl = _losses(pos, target)
+    pbl = _losses(_residuals(pos, target))
     gi = int(np.argmin(pbl))
     gbest, gbl = pbest[gi].copy(), float(pbl[gi])
     stall, last = 0, gbl
@@ -265,7 +266,7 @@ def _pso_once(target: CoeffTensor, cfg: FitConfig, rng):
         np.maximum(vel, vmin, out=vel)
         np.minimum(vel, vmax, out=vel)
         pos += vel
-        cur = _losses(pos, target)
+        cur = _losses(_residuals(pos, target))
         upd = cur < pbl
         pbest[upd] = pos[upd]
         pbl[upd] = cur[upd]
@@ -334,14 +335,13 @@ def _polish(theta, loss, target: CoeffTensor):
     gradient ``2 J^T r`` there and whether the stopping test was met.
     """
     p = theta.size
-    a = target.as_float().ravel()
-    floor = _LM_FLOOR * float(np.einsum("b,b->", a, a))
+    floor = _LM_FLOOR * l2_norm_sq(target)
     lam, done = _LM_DAMP_START, False
     for step in range(_LM_STEPS + 1):
         shift = np.diag(_LM_DIFF_STEP * np.maximum(1.0, np.abs(theta)))
         up, down = theta + shift, theta - shift
+        res = _residuals(np.concatenate([up, down, theta[None, :]]), target)
         with np.errstate(invalid="ignore", over="ignore"):
-            res = _residuals(np.concatenate([up, down, theta[None, :]]), target)
             jac = (res[:p] - res[p:-1]) / (np.diag(up) - np.diag(down))[:, None]  # p x B
         grad = np.einsum("ib,b->i", jac, res[-1])
         gnorm = 2.0 * float(np.sqrt((grad ** 2).sum()))
@@ -355,7 +355,7 @@ def _polish(theta, loss, target: CoeffTensor):
         while lam <= _LM_DAMP_MAX:
             h = _spd_solve(scaled + lam * np.eye(p), -unit * grad)
             trial = theta + unit * h
-            tloss = float(_losses(trial[None, :], target)[0])
+            tloss = float(_losses(_residuals(trial[None, :], target))[0])
             if tloss < loss:
                 break
             lam, nu = lam * nu, 2.0 * nu
@@ -450,7 +450,7 @@ def project_density(target: CoeffTensor, cfg: FitConfig) -> FitReport:
         raise ValueError(f"target box {target.m} does not match box {cfg.m}")
     starts = []  # (position, loss, label of its note, whether it is polished)
     for k, theta in _prony_starts(target.a, cfg.n) if d == 1 else ():
-        loss = float(_losses(theta[None, :], target)[0])
+        loss = float(_losses(_residuals(theta[None, :], target))[0])
         if np.isfinite(loss):
             starts.append((theta, loss, f"start k={k}: Prony loss {loss:.10e}", True))
     # the swarm is the fallback of d = 1, where no restart runs once Prony gives a start

@@ -100,7 +100,11 @@ class GgcModel:
 
     @classmethod
     def from_json(cls, text: str) -> "GgcModel":
+        """The model of :meth:`to_json`, or of a fit report's ``"model"``."""
         obj = json.loads(text)
+        obj = obj.get("model", obj) if isinstance(obj, dict) else obj
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
         return cls(np.asarray(obj["alpha"]), np.asarray(obj["scales"]))
 
 

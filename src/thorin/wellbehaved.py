@@ -91,10 +91,12 @@ def mobius_h(t) -> complex:
     return (t + 1) / (t - 1)
 
 
-def _h_modulus(t: complex) -> float:
-    if t == 1:
-        return math.inf
-    return abs(mobius_h(t))
+def _h_modulus(t: np.ndarray, pole_tol: float) -> np.ndarray:
+    """``|h(t)|`` of each real ``t``, the one pole rule: ``t`` within
+    ``pole_tol`` of 1 is the pole, where ``|h|`` is infinite."""
+    with np.errstate(divide="ignore"):
+        return np.where(np.isclose(t, 1.0, rtol=0.0, atol=pole_tol), math.inf,
+                        np.abs((t + 1.0) / (t - 1.0)))
 
 
 def disc_image(b: float) -> Tuple[float, float]:
@@ -180,17 +182,15 @@ def _hyperplane_point(rows: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _subset_eps(t_star: np.ndarray) -> float:
-    """Margin implied by one singular point: ``max_j |h(t_j)| - 1``.  The
-    point is a least-squares solution, so a coordinate within ``_ON_TOL``
-    of 1 is the pole ``t = 1``, where ``|h|`` is infinite."""
-    return max(math.inf if math.isclose(tj, 1.0, rel_tol=0.0, abs_tol=_ON_TOL)
-               else _h_modulus(complex(tj)) for tj in t_star) - 1.0
+    """Margin implied by one singular point, ``max_j |h(t_j)| - 1``; the point is
+    a least-squares solution, so a coordinate within ``_ON_TOL`` of 1 is the pole."""
+    return float(_h_modulus(t_star, _ON_TOL).max()) - 1.0
 
 
 def _interval_eps_1d(scales: np.ndarray) -> float:
     """Univariate margin: every scale must satisfy
     ``eps/(2+eps) < s < (2+eps)/eps``, i.e. ``eps < |h(s)| - 1``."""
-    return min(_h_modulus(complex(s)) for s in scales.ravel()) - 1.0
+    return float(_h_modulus(scales, 0.0).min()) - 1.0
 
 
 def _combination_chunks(n: int, k: int, first: int, size: int):

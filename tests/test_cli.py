@@ -651,15 +651,18 @@ class TestProject:
         assert np.all(scales.sum(axis=1) > 0)
 
     def test_pareto_l2_boundary_note(self, tmp_path):
-        out = tmp_path / "proj2"
-        rc = main(
-            ["project", "--density", "pareto", "--params", "k=0.25",
-             "--n", "1", "--bits", "64", "--seed", "1", "--iters", "60",
-             "--restarts", "1", "--m", "2", "--output", str(out)]
-        )
-        assert rc == EXIT_OK
-        report = json.loads((out / "report.json").read_text())
-        assert any("outside L2" in note for note in report["notes"])
+        # a Pareto density is in L2 for every tail exponent k > 0; a Weibull
+        # density ~ k x^(k-1) at the origin is not for k <= 1/2
+        for density, params, outside in [("pareto", "k=0.25", False), ("weibull", "k=0.4", True)]:
+            out = tmp_path / density
+            rc = main(
+                ["project", "--density", density, "--params", params,
+                 "--n", "1", "--bits", "64", "--seed", "1", "--iters", "60",
+                 "--restarts", "1", "--m", "2", "--output", str(out)]
+            )
+            assert rc == EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            assert any("outside L2" in note for note in report["notes"]) == outside
 
     def test_bivariate_projection(self, tmp_path):
         out = tmp_path / "proj3"

@@ -18,6 +18,7 @@ from thorin.estimator import (
     _polish,
     _prony_starts,
     _pso_once,
+    _residuals,
     _spd_solve,
     default_box,
     fit_empirical,
@@ -98,6 +99,31 @@ class TestLoss:
             deep = loss_Lm(target, model)
             flat = model_coeffs(model, m).coeffs.as_float().ravel()
             assert deep == pytest.approx(float(flat @ flat), rel=1e-10)
+
+    def test_reduced_as_the_objective(self):
+        # the reported loss is the search's reduction of the residual row:
+        # squares summed by numpy's pairwise sum, to the last bit
+        rng = np.random.default_rng(4)
+        model = GgcModel([1.0, 2.0], [[0.5, 0.1], [1.0, 2.0]])
+        for m in [(3, 3), (40, 40)]:
+            target = CoeffTensor(m, rng.normal(scale=0.1, size=(m[0] + 1, m[1] + 1)))
+            r = float_coeffs(model, m).a.ravel() - target.a.ravel()
+            assert loss_Lm(target, model) == float((r * r).sum())
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # the (100, 100) box holds 10 201 entries; OpenBLAS splits a dot
+        # product over its threads above 10 000
+        code = (
+            "import numpy as np\n"
+            "from thorin.estimator import loss_Lm\n"
+            "from thorin.ggc import GgcModel\n"
+            "from thorin.laguerre import CoeffTensor\n"
+            "a = np.random.default_rng(0).random((101, 101))\n"
+            "model = GgcModel([1.0, 2.0], [[0.5, 0.1], [1.0, 2.0]])\n"
+            "print(loss_Lm(CoeffTensor((100, 100), a), model).hex())\n"
+        )
+        out = stdout_per_blas_threads(code)
+        assert out[0] == out[1]
 
 
 class TestDecode:
@@ -336,7 +362,7 @@ class TestPolish:
         m = (4,)
         target = float_coeffs(model, m)
         theta = _swarm_position(model) + np.random.default_rng(3).normal(scale=0.05, size=6)
-        start = float(_losses(theta[None, :], target)[0])
+        start = float(_losses(_residuals(theta[None, :], target))[0])
         assert start > 1e-6
         pos, loss, steps, gnorm, converged = _polish(theta, start, target)
         assert loss < 1e-20
@@ -352,7 +378,7 @@ class TestPolish:
         model = GgcModel([0.5368, 2.6591, 2.9530, 2.8930], [[0.1984], [4.4131], [6.0238], [8.8157]])
         target = float_coeffs(model, (8,))
         k, theta = _prony_starts(target.as_float(), 4)[0]
-        start = float(_losses(theta[None, :], target)[0])
+        start = float(_losses(_residuals(theta[None, :], target))[0])
         assert k == 4 and start < 1e-18
         _, loss, steps, _, converged = _polish(theta, start, target)
         assert converged and steps <= 10
@@ -374,7 +400,7 @@ class TestPolish:
         gbest, gloss, _, _ = _pso_once(target, cfg, np.random.default_rng(seed))
         pos, loss, _, _, _ = _polish(gbest, gloss, target)
         assert loss <= gloss
-        assert loss == float(_losses(pos[None, :], target)[0])
+        assert loss == float(_losses(_residuals(pos[None, :], target))[0])
 
     def test_swarm_stopped_by_max_iters_is_not_polished(self):
         xs = sample(GgcModel([1.0], [[1.0, 0.5]]), 2000, seed=5)

@@ -357,6 +357,24 @@ class TestL2Norm:
         assert all(b >= a - 1e-15 for a, b in zip(norms, norms[1:]))
         assert norms[-1] <= 0.25 + 1e-12
 
+    @pytest.mark.parametrize(
+        "name, params, ms, bound",
+        [
+            # int f^2 = k^2 / ((2k + 1) x_m): in L2 for every tail exponent k > 0
+            ("pareto", {"k": 0.25, "xm": 1.0}, (2, 20, 100), 0.25**2 / 1.5),
+            # int f^2 = k Gamma(2 - 1/k) / 2^(2 - 1/k), finite only for k > 1/2,
+            # as f ~ k x^(k-1) at the origin
+            ("weibull", {"k": 0.6}, (4, 40), 0.6 * math.gamma(2 - 1 / 0.6) / 2 ** (2 - 1 / 0.6)),
+            ("weibull", {"k": 0.4}, (4, 40), math.inf),
+        ],
+    )
+    def test_bessel_sums_of_quadrature_targets(self, name, params, ms, bound):
+        pdf, jumps = bench_pdf(name, params)
+        sums = [l2_norm_sq(theoretical_coeffs(pdf, (m,), jumps)) for m in ms]
+        assert all(a < b < bound for a, b in zip(sums, sums[1:]))
+        if bound == math.inf:
+            assert sums[-1] > 2.0 * sums[0]  # 1.20 at m = 4, 2.53 at m = 40
+
 
 class TestCoeffTensor:
     def test_json_round_trip(self):

@@ -107,17 +107,28 @@ class TestImports:
         assert exempt, "ggc's numpy.random import carries noqa F401"
 
 
+def _blas_products(module: str):
+    """Lines of a module's source holding ``@`` or a dot, matmul, tensordot,
+    inner or vdot attribute."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute)
+        and node.attr in ("dot", "matmul", "tensordot", "inner", "vdot")
+    ]
+
+
 class TestSources:
     def test_laguerre_makes_no_matrix_product(self):
         # BLAS products change bits with the thread count; the layer's
         # contractions are two-operand einsums
-        tree = ast.parse((SRC / "laguerre.py").read_text())
-        found = [
-            node.lineno for node in ast.walk(tree)
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
-            or isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "tensordot", "inner")
-        ]
-        assert found == []
+        assert _blas_products("laguerre") == []
+
+    def test_estimator_makes_no_blas_product(self):
+        # every loss is numpy's pairwise sum of squares, whose bits do not
+        # follow the BLAS thread count
+        assert _blas_products("estimator") == []
 
     def test_wellbehaved_states_each_rule_once(self):
         # the rank rule's SVD and the membership residual |<s, t> - 1| are
