@@ -410,15 +410,13 @@ def main(argv=None) -> int:
     except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except QuadratureError as exc:
+    except (QuadratureError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # before ValueError, of which LinAlgError is a subclass
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, IndexError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

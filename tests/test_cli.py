@@ -635,6 +635,56 @@ class TestDistributionParameters:
         assert not out.exists()
 
 
+_BENCH_10 = ["bench", "--name", "lognormal", "--N", "10"]
+_FIT_TINY = ["fit", "--input", "{dir}/x.csv"]
+
+# (argv without --output, the message of the config error it exits 3 with)
+_CONFIG_ERRORS = [
+    (_BENCH_10 + ["--params", "mu"], "expected key=value, got 'mu'"),
+    (_BENCH_10 + ["--params", "mu=abc"], "non-numeric parameter value in 'mu=abc'"),
+    (_BENCH_10[:-1] + ["0"], "sample size N must be >= 1"),
+    (_FIT_TINY + ["--config", "{dir}/bad.json"], "{dir}/bad.json: invalid JSON config ("),
+    (_FIT_TINY + ["--config", "{dir}/bad.txt"],
+     "{dir}/bad.txt: expected key=value line, got 'bogus'"),
+    (_FIT_TINY + ["--n", "0"], "n must be >= 1"),
+    (_FIT_TINY + ["--n", "1", "--iters", "0"], "max_iters and restarts must be >= 1"),
+    (_FIT_TINY + ["--n", "1", "--restarts", "0"], "max_iters and restarts must be >= 1"),
+    (_FIT_TINY + ["--n", "1", "--swarm", "5"], "swarm_size must be >= 10"),
+]
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("argv, message", _CONFIG_ERRORS,
+                             ids=[" ".join(argv[-2:]) for argv, _ in _CONFIG_ERRORS])
+    def test_config_error_message(self, tmp_path, capsys, argv, message):
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "bad.json").write_text('{"n": 1,\n')
+        (tmp_path / "bad.txt").write_text("n=1\nbogus\n")
+        out = tmp_path / "out"
+        argv = [a.format(dir=tmp_path) for a in argv] + ["--output", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message.format(dir=tmp_path)}")
+        assert not out.exists()
+
+    def test_empty_params_item_is_skipped(self, tmp_path):
+        for params in ("mu=0,,sigma=1", "mu=0,sigma=1"):
+            assert main(_BENCH_10 + ["--params", params, "--output",
+                                     str(tmp_path / f"{len(params)}.csv")]) == EXIT_OK
+        assert (tmp_path / "13.csv").read_bytes() == (tmp_path / "12.csv").read_bytes()
+
+    def test_linear_algebra_failure_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(model):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "best_eps", fail)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GgcModel([2.0], [[2.0]]).to_json())
+        out = tmp_path / "wb.json"
+        assert main(["check-wb", "--model", str(model_path), "--output", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric failure: SVD did not converge\n"
+        assert not out.exists()
+
+
 class TestProject:
     def test_weibull_positive_parameters(self, tmp_path):
         out = tmp_path / "proj"

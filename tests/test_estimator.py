@@ -54,6 +54,11 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(n=1, swarm_size=5)
 
+    @pytest.mark.parametrize("m", [(-1,), (2, -1)])
+    def test_negative_box_entry(self, m):
+        with pytest.raises(ValueError, match="m must be componentwise >= 0"):
+            FitConfig(n=1, m=m)
+
 
 class TestLoss:
     def test_self_distance_zero(self):
@@ -269,6 +274,10 @@ class TestProjectDensity:
 
 
 class TestPronyStart:
+    def test_non_finite_log_series_gives_no_start(self):
+        # b = a / a_0 reaches 1e300, and the log series overflows
+        assert _prony_starts(np.array([1e-300, 1, 1, 1, 1]), 2) == []
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exact_models_are_recovered_atom_for_atom(self, n):
         # nodes r = (1 - s)/(1 + s) kept apart, so the atoms are well

@@ -32,6 +32,7 @@ from thorin.laguerre import empirical_coeffs, phi_univariate
 from thorin.numkit import box_shape, iterate_box
 from thorin.oracle import (
     PrecisionContext,
+    bench_density_mp,
     coeffs_from_moments,
     cumulants_to_moments,
     model_coeffs,
@@ -64,6 +65,9 @@ class TestModelValidation:
     def test_rejects_zero_row(self):
         with pytest.raises(ValueError):
             GgcModel([1.0, 1.0], [[1.0, 0.0], [0.0, 0.0]])
+
+    def test_vector_of_scales_is_one_column(self):
+        assert GgcModel([1, 2], [0.5, 3]).scales.shape == (2, 1)
 
     def test_json_round_trip(self):
         m = GgcModel([1.0, 2.5], [[1.0, 0.0], [0.3, 2.0]])
@@ -698,3 +702,56 @@ class TestMarginalAndCombination:
             linear_combination(m, [-1.0, 0.5])
         with pytest.raises(ValueError):
             linear_combination(m, [0.0, 0.0])
+
+
+_ONE, _TWO = GgcModel([1.0], [[1.0]]), GgcModel([1.0], [[1.0, 2.0]])
+
+
+class TestGuards:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: GgcModel([[1.0]], [[1.0]]), "alpha must be a vector", id="alpha-2d"),
+        pytest.param(lambda: GgcModel([1.0], np.ones((1, 1, 1))), "scales a matrix",
+                     id="scales-3d"),
+        pytest.param(lambda: GgcModel([1.0, 2.0], [[1.0]]), "same number of atoms", id="atoms"),
+        pytest.param(lambda: GgcModel(np.ones(0), np.ones((0, 1))), "n >= 1 atoms", id="no-atom"),
+        pytest.param(lambda: GgcModel([1.0], np.ones((1, 0))), "dimension d >= 1", id="no-axis"),
+        pytest.param(lambda: cgf(_ONE, [0.1, 0.2]), "t must have dimension 1", id="cgf"),
+        pytest.param(lambda: gd1_coeffs(0.0, [1.0], (2,)), "shape must be positive",
+                     id="gd1-shape"),
+        pytest.param(lambda: gd1_coeffs(1.0, [0.0], (2,)), "non-negative and non-zero",
+                     id="gd1-zero-scale"),
+        pytest.param(lambda: gd1_coeffs(1.0, [1.0, 1.0], (2,)), "must match the box", id="gd1-box"),
+        # R = ln(1/2)/0.65 < -1 passes, but a_{e_1} > a_0 puts x_1 < 0
+        pytest.param(lambda: gd1_invert(1.0, [1.5, -0.8]), "outside the unit simplex",
+                     id="gd1-invert"),
+        pytest.param(lambda: sample(_ONE, 0, 1), "N must be >= 1", id="sample"),
+        pytest.param(lambda: moschopoulos_density([1.0], [1.0], 1.0, terms=0),
+                     "terms must be >= 1", id="mosch-terms"),
+        pytest.param(lambda: moschopoulos_density([1.0, 2.0], [1.0], 1.0), "equal-length vectors",
+                     id="mosch-lengths"),
+        pytest.param(lambda: moschopoulos_density([1.0], [1.0], -1.0), "supported on x >= 0",
+                     id="mosch-support"),
+        pytest.param(lambda: linear_combination(_TWO, [1.0]), "dimension mismatch",
+                     id="combination"),
+        pytest.param(lambda: concatenate(_ONE, _TWO), "share the dimension", id="concatenate"),
+    ])
+    def test_ggc_value_errors(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: cumulants_to_moments(np.zeros(3), (3,)), "does not cover the box",
+                     id="cumulants"),
+        pytest.param(lambda: bench_density_mp("clayton_pareto_lognormal", {}),
+                     "no formal density for benchmark 'clayton_pareto_lognormal'", id="density"),
+    ])
+    def test_oracle_value_errors(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_oracle_boxes_default_to_the_tensor(self):
+        kap = np.array([-0.5, 0.25, 0.125])
+        assert np.array_equal(cumulants_to_moments(kap), cumulants_to_moments(kap, (2,)))
+        mu = np.array([[1.0, 0.5], [0.25, 0.125], [0.0625, 0.03125]])
+        assert coeffs_from_moments(mu).m == (2, 1)
+        assert np.array_equal(coeffs_from_moments(mu).a, coeffs_from_moments(mu, (2, 1)).a)

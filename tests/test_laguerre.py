@@ -139,6 +139,11 @@ class TestPhi:
                 )
                 assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("k, x", [((1, 2), [1.0]), ((1,), [1.0, 2.0])])
+    def test_index_and_point_of_other_dimensions(self, k, x):
+        with pytest.raises(ValueError, match="index and point must have the same dimension"):
+            phi(k, x)
+
 
 class TestEmpiricalCoeffs:
     def test_single_sample_at_origin(self):

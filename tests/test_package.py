@@ -148,6 +148,18 @@ class TestSources:
                     found["residual"].append(func.name)
         assert found == {"svd": ["_rank_below"], "residual": ["_relative_residual"]}
 
+    def test_ks_tail_takes_one_method_per_region(self):
+        # each (n, d) reaches the Smirnov sum, Durbin's matrix or Pelz-Good;
+        # no closed form (expm1 of log n!/n^n) repeats one of them
+        tree = ast.parse((SRC / "validate.py").read_text())
+        func = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_ks_sf")
+        called = [node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                  for node in ast.walk(func) if isinstance(node, ast.Call)]
+        for name in ("_smirnov_sf", "_durbin_cdf", "_pelz_good_cdf"):
+            assert called.count(name) == 1, name
+        assert not {"expm1", "_log_nfact_over_nn"} & set(called)
+
     def test_oracle_does_not_import_the_search(self):
         tree = ast.parse((SRC / "oracle.py").read_text())
         imported = set()

@@ -12,11 +12,13 @@ from scipy.stats import kendalltau, kstwo, norm
 
 from thorin.ggc import GgcModel, sample
 from thorin.validate import (
+    _durbin_cdf,
     _inv_factorial,
     _ks_sf,
     _log_factorials,
     _log_nfact_over_nn,
     _ndtr,
+    _weibull_q,
     BENCH_NAMES,
     bench_cdf,
     bench_pdf,
@@ -65,7 +67,9 @@ class TestKsExact:
         res = ks_exact(xs, lambda x: -np.expm1(-x))
         assert 0.0 <= res.p_value <= 1.0
         assert res.n == 20_000
-        # exact above N = 10^4 as well
+        # scipy's regions above N = 10^4 as well; scipy runs the same
+        # Pelz-Good expansion, so its error shows only against Durbin's
+        # matrix, in TestKsSf::test_accuracy_against_durbin
         ref = float(kstwo.sf(res.d_stat, 20_000))
         assert abs(res.p_value - ref) <= 1e-9 * ref + 1e-14
 
@@ -86,6 +90,48 @@ class TestKsSf:
         for d in _ks_sf_grid(n):
             ref = float(kstwo.sf(d, n))
             assert abs(_ks_sf(n, d) - ref) <= 1e-9 * ref + 1e-14, (n, d)
+
+    def test_accuracy_against_durbin(self):
+        # scipy's kstwo runs the same expansion, so only Durbin's exact
+        # matrix shows the error of the two approximate regions
+        def error(n, d):
+            return abs(_ks_sf(n, d) - (1.0 - _durbin_cdf(n, d)))
+
+        # Pelz-Good, n > 140 between n d^1.5 = 1.4 and n d^2 = 2.2: the
+        # error peaks near z = d sqrt(n) = 0.55 at about 0.06/n^2, the
+        # order of the expansion's first dropped term (0.0653/n^2 at 10^4)
+        for n, stated in [(141, 3.1e-6), (300, None), (1000, None), (3000, None),
+                          (10_000, 6.6e-10)]:
+            lo, hi = (1.4 / n) ** (2 / 3), math.sqrt(2.2 / n)
+            worst = max(error(n, d) for d in np.geomspace(lo * (1 + 1e-9), hi * (1 - 1e-9), 41))
+            assert 0.05 / n**2 <= worst <= 0.07 / n**2, (n, worst * n**2)
+            assert stated is None or worst <= stated, (n, worst)
+        # doubling the one-sided tail counts their overlap twice; it is
+        # largest at the region's lower edge, n d^2 = 2.2 above n = 140
+        # (2.6e-8 at 141, 4.36e-8 at 10^4) and n d^2 = 4 up to 140, where
+        # Durbin's own rounding is most of the 3.2e-14 at n = 140 (2.5e-14
+        # against the matrix power in 60 digits)
+        for n in (141, 1000, 10_000):
+            assert error(n, math.sqrt(2.2 / n)) <= 5e-8, n
+        assert max(error(n, math.sqrt(4.0 / n) * (1 + 1e-12)) for n in range(2, 141)) <= 4e-14
+
+    def test_ruben_gambino_regions_reach_the_general_methods(self):
+        # n d <= 1: Durbin's matrix of order 1 (the Smirnov sum at n = 1)
+        # gives 1 - n!/n^n (2 n d - 1)^n; n d >= n - 1: the Smirnov sum has
+        # the one term (1 - d)^n, 0 at d = 1
+        with mpmath.workdps(40):
+            for n in (1, 2, 3, 10, 100, 140, 141, 1000, 10_000, 100_000):
+                for t in np.linspace(0.5, 1.0, 26)[1:]:
+                    cdf = mpmath.factorial(n) / mpmath.mpf(n) ** n * (2 * mpmath.mpf(t) - 1) ** n
+                    assert abs(_ks_sf(n, t / n) - float(1 - cdf)) <= 2.2e-16, (n, t)
+                for u in np.linspace(0.0, 1.0, 26) if n > 1 else ():
+                    d = 1.0 - u / n
+                    ref = float(2 * (1 - mpmath.mpf(d)) ** n)
+                    got = _ks_sf(n, d)
+                    if ref > 1e-290:
+                        assert abs(got - ref) <= 2e-13 * ref, (n, d)
+                    else:
+                        assert got <= 1e-290, (n, d)
 
     def test_log_nfact_over_nn_to_rounding(self):
         # n!/n^n scales the Durbin tail, so its absolute log error is the
@@ -384,6 +430,23 @@ class TestBenchSamplers:
             xs = bench_sampler(name, params, 10_000, seed=15).ravel()
             res = ks_exact(xs, bench_cdf(name, params))
             assert res.p_value > 1e-4
+
+
+class TestBenchGuards:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: bench_sampler("lognormal", {}, 0, 1), "N must be >= 1", id="sampler"),
+        pytest.param(lambda: bench_cdf("mln_gaussian", {}), "no univariate cdf", id="cdf"),
+        pytest.param(lambda: bench_quantile("mln_gaussian", {}), "no univariate quantile",
+                     id="quantile"),
+        pytest.param(lambda: curious_cgf_discrete(1.0, 0), "n must be >= 1", id="discrete-cgf"),
+    ])
+    def test_value_errors(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_weibull_quantile(self):
+        p = np.linspace(0.0, 0.99, 12)
+        assert np.array_equal(bench_quantile("weibull", {})(p), _weibull_q(p, 1.5))
 
 
 class TestCuriousCgf:

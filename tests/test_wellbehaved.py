@@ -140,6 +140,11 @@ class TestDiscImage:
         assert r == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert c - r > 0  # complement image inside the right half-plane
 
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_nonpositive_radius_rejected(self, b):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            disc_image(b)
+
     def test_unit_disc_signals_half_plane(self):
         with pytest.raises(HalfPlaneImage):
             disc_image(1.0)
